@@ -242,10 +242,11 @@ class Coordinator:
         )
 
     def _update_pending_row(self, request: CoordinationRequest) -> None:
-        self.database.update_where(
-            PENDING_TABLE,
-            lambda row: row["query_id"] == request.query_id,
-            lambda row: {"status": request.status.value},
+        # probes the query_id primary key, so the cost does not grow with the
+        # answered history the table holds (a recovered REJECTED request has
+        # no row and updates nothing)
+        self.database.update_by_key(
+            PENDING_TABLE, {"query_id": request.query_id}, {"status": request.status.value}
         )
 
     # -- data-change retries ----------------------------------------------------------------

@@ -20,6 +20,7 @@ import enum
 import itertools
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -67,10 +68,11 @@ Subscriber = Callable[[Event], None]
 class EventBus:
     """A tiny synchronous publish/subscribe hub with bounded history."""
 
-    def __init__(self, history_limit: int = 10_000) -> None:
+    def __init__(self, history_limit: int = 1_000) -> None:
         self._subscribers: list[tuple[Optional[EventType], Subscriber]] = []
-        self._history: list[Event] = []
-        self._history_limit = history_limit
+        # every event pins its payload (answer tuples, group ids, SQL), so the
+        # history stays a short activity log rather than an archive
+        self._history: deque[Event] = deque(maxlen=history_limit)
         self._lock = threading.RLock()
 
     def subscribe(self, subscriber: Subscriber, event_type: Optional[EventType] = None) -> None:
@@ -92,8 +94,6 @@ class EventBus:
         event = Event(type=event_type, payload=payload)
         with self._lock:
             self._history.append(event)
-            if len(self._history) > self._history_limit:
-                self._history = self._history[-self._history_limit :]
             subscribers = list(self._subscribers)
         for wanted_type, subscriber in subscribers:
             if wanted_type is None or wanted_type is event_type:

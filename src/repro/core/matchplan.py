@@ -77,6 +77,17 @@ def _intern(value: Any) -> Any:
     return value
 
 
+def _discard(buckets: dict[Any, dict[Provider, int]], key: Any, provider: Provider) -> None:
+    """Remove ``provider`` from ``buckets[key]`` and drop the bucket once empty:
+    a bucket keyed by a query's own constant (a traveler's name) would
+    otherwise outlive the query for the life of the server."""
+    bucket = buckets.get(key)
+    if bucket is not None:
+        bucket.pop(provider, None)
+        if not bucket:
+            del buckets[key]
+
+
 class CompiledAtom:
     """One atom lowered to positional slot arrays.
 
@@ -329,17 +340,13 @@ class GridProviderIndex:
         for head_index, atom in enumerate(query.heads):
             provider = Provider(query.query_id, head_index)
             key = (atom.relation.lower(), atom.arity)
-            bucket = self._by_relation.get(key)
-            if bucket is not None:
-                bucket.pop(provider, None)
+            _discard(self._by_relation, key, provider)
             self._atoms.pop(provider, None)
             for position, term in enumerate(atom.terms):
                 if isinstance(term, ir.Constant):
-                    column = self._const_columns.get((*key, position, term.value))
+                    _discard(self._const_columns, (*key, position, term.value), provider)
                 else:
-                    column = self._var_columns.get((*key, position))
-                if column is not None:
-                    column.pop(provider, None)
+                    _discard(self._var_columns, (*key, position), provider)
 
     def __len__(self) -> int:
         return len(self._atoms)

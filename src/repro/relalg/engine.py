@@ -10,14 +10,14 @@ component by the system facade (:class:`repro.core.system.YoutopiaSystem`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import EvaluationError, PlanError
 from repro.relalg.expressions import ExpressionEvaluator
-from repro.relalg.optimizer import optimize
+from repro.relalg.optimizer import join_conjuncts, optimize, split_equalities
 from repro.relalg.plan import PlanContext, PlanNode
 from repro.relalg.planner import build_plan, output_columns
-from repro.relalg.rows import RowEnv
+from repro.relalg.rows import RowEnv, bind_row
 from repro.sqlparser import ast, parse_statement
 from repro.storage.database import Database
 from repro.storage.schema import Column, ColumnType, TableSchema
@@ -150,9 +150,8 @@ class QueryEngine:
     # -- DML --------------------------------------------------------------------------
 
     def _execute_insert(self, statement: ast.Insert) -> QueryResult:
-        table = self.database.table(statement.table)
-        schema = table.schema
-        count = 0
+        schema = self.database.schema(statement.table)
+        rows: list[Sequence[Any]] = []
         for row_exprs in statement.rows:
             values = [self._evaluator.evaluate(expr, RowEnv({})) for expr in row_exprs]
             if statement.columns:
@@ -161,48 +160,65 @@ class QueryEngine:
                         f"INSERT specifies {len(statement.columns)} columns "
                         f"but {len(values)} values"
                     )
-                mapping = dict(zip(statement.columns, values))
-                self.database.insert_mapping(statement.table, mapping)
+                rows.append(schema.row_from_mapping(dict(zip(statement.columns, values))))
             else:
                 if len(values) != schema.arity:
                     raise EvaluationError(
                         f"INSERT into {schema.name!r} expects {schema.arity} values, "
                         f"got {len(values)}"
                     )
-                self.database.insert(statement.table, values)
-            count += 1
-        return QueryResult(command="INSERT", affected=count)
+                rows.append(values)
+        # one all-or-nothing batch: a row that fails leaves none of the others
+        self.database.insert_many(statement.table, rows)
+        return QueryResult(command="INSERT", affected=len(rows))
 
-    def _make_predicate(self, where: Optional[ast.Expression]):
+    def _target_rows(
+        self, table_name: str, where: Optional[ast.Expression]
+    ) -> tuple[dict[str, Any], Optional[Callable[[dict[str, Any]], bool]]]:
+        """The key probe and residual predicate selecting an UPDATE/DELETE's rows.
+
+        ``column = constant`` conjuncts of ``where`` become the probe, which
+        storage answers from an index exactly covering those columns (scanning
+        without one); the other conjuncts are evaluated on the probed rows only.
+        """
+        probe: dict[str, Any] = {}
+        if where is not None and self.enable_index_lookup:
+            equality, residual = split_equalities(
+                where, self.database.schema(table_name), table_name
+            )
+            probe = {column: self._evaluator.evaluate(value) for column, value in equality.items()}
+            where = join_conjuncts(residual)
         if where is None:
-            return lambda row: True
-
-        def predicate(row: dict[str, Any]) -> bool:
-            env = RowEnv({key.lower(): value for key, value in row.items()})
-            return self._evaluator.evaluate_predicate(where, env)
-
-        return predicate
+            return probe, None
+        return probe, lambda row: self._evaluator.evaluate_predicate(
+            where, _row_env(table_name, row)
+        )
 
     def _execute_update(self, statement: ast.Update) -> QueryResult:
         assignments = statement.assignments
 
         def updater(row: dict[str, Any]) -> dict[str, Any]:
-            env = RowEnv({key.lower(): value for key, value in row.items()})
+            env = _row_env(statement.table, row)
             return {
                 column: self._evaluator.evaluate(expression, env)
                 for column, expression in assignments
             }
 
-        affected = self.database.update_where(
-            statement.table, self._make_predicate(statement.where), updater
-        )
+        probe, predicate = self._target_rows(statement.table, statement.where)
+        affected = self.database.update_by_key(statement.table, probe, updater, predicate)
         return QueryResult(command="UPDATE", affected=affected)
 
     def _execute_delete(self, statement: ast.Delete) -> QueryResult:
-        affected = self.database.delete_where(
-            statement.table, self._make_predicate(statement.where)
-        )
+        probe, predicate = self._target_rows(statement.table, statement.where)
+        affected = self.database.delete_by_key(statement.table, probe, predicate)
         return QueryResult(command="DELETE", affected=affected)
+
+
+def _row_env(table_name: str, row: dict[str, Any]) -> RowEnv:
+    """A DML row's scope: its columns by bare name and qualified by the table."""
+    values = bind_row(table_name, row)
+    values.update((column.lower(), value) for column, value in row.items())
+    return RowEnv(values)
 
 
 def run_script(engine: QueryEngine, sql: str) -> list[QueryResult]:

@@ -26,6 +26,7 @@ from repro.relalg.expressions import ExpressionEvaluator
 from repro.relalg.rows import RowEnv
 from repro.sqlparser import ast
 from repro.storage.database import Database
+from repro.storage.schema import TableSchema
 
 
 def split_conjuncts(expression: ast.Expression) -> list[ast.Expression]:
@@ -134,18 +135,20 @@ def _push_filter_into_join(filter_node: planops.FilterNode) -> planops.PlanNode:
     return planops.FilterNode(new_join, residual_predicate)
 
 
-def _try_index_lookup(
-    filter_node: planops.FilterNode, database: Database
-) -> planops.PlanNode | None:
-    scan = filter_node.child
-    if not isinstance(scan, planops.ScanNode):
-        return None
-    binding = scan.binding.lower()
-    schema = database.schema(scan.table_name)
+def split_equalities(
+    predicate: ast.Expression, schema: TableSchema, binding: str
+) -> tuple[dict[str, ast.Expression], list[ast.Expression]]:
+    """Split ``predicate`` into ``column = constant`` probes and the rest.
 
+    Returns ``(equality, residual)``: ``equality`` maps each column of the
+    table bound as ``binding`` to the constant expression its top-level
+    conjunct equates it with, ``residual`` holds every other conjunct.  Used
+    by index lookups under SELECT and by keyed UPDATE / DELETE alike.
+    """
+    binding = binding.lower()
     equality: dict[str, ast.Expression] = {}
     residual: list[ast.Expression] = []
-    for conjunct in split_conjuncts(filter_node.predicate):
+    for conjunct in split_conjuncts(predicate):
         matched = False
         if isinstance(conjunct, ast.BinaryOp) and conjunct.operator == "=":
             sides = [(conjunct.left, conjunct.right), (conjunct.right, conjunct.left)]
@@ -166,7 +169,18 @@ def _try_index_lookup(
                     break
         if not matched:
             residual.append(conjunct)
+    return equality, residual
 
+
+def _try_index_lookup(
+    filter_node: planops.FilterNode, database: Database
+) -> planops.PlanNode | None:
+    scan = filter_node.child
+    if not isinstance(scan, planops.ScanNode):
+        return None
+    equality, residual = split_equalities(
+        filter_node.predicate, database.schema(scan.table_name), scan.binding
+    )
     if not equality:
         return None
     lookup = planops.IndexLookupNode(scan.table_name, scan.binding, equality)

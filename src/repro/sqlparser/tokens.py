@@ -9,6 +9,7 @@ the offending token.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 
 from repro.errors import ParseError
@@ -138,7 +139,9 @@ def tokenize(text: str) -> list[Token]:
             while position < length and (text[position].isalnum() or text[position] == "_"):
                 ident_chars.append(text[position])
                 advance(1)
-            word = "".join(ident_chars)
+            # interned: a server keeps every compiled query, and without this
+            # each one holds its own copy of every table and column name
+            word = sys.intern("".join(ident_chars))
             if word.upper() in KEYWORDS:
                 tokens.append(Token(TokenType.KEYWORD, word.upper(), start_line, start_column))
             else:

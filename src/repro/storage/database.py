@@ -10,7 +10,7 @@ component to re-try pending entangled queries when base data changes.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.errors import DuplicateTableError, UnknownTableError
 from repro.storage.schema import Column, ColumnType, TableSchema, make_schema
@@ -122,6 +122,31 @@ class Database:
         updater: Callable[[dict[str, Any]], dict[str, Any]],
     ) -> int:
         count = self.table(table_name).update_where(predicate, updater)
+        if count:
+            self._notify(table_name, "update")
+        return count
+
+    def delete_by_key(
+        self,
+        table_name: str,
+        key_values: Mapping[str, Any],
+        predicate: Optional[Callable[[dict[str, Any]], bool]] = None,
+    ) -> int:
+        """:meth:`Table.delete_by_key`, notifying listeners when rows went."""
+        count = self.table(table_name).delete_by_key(key_values, predicate)
+        if count:
+            self._notify(table_name, "delete")
+        return count
+
+    def update_by_key(
+        self,
+        table_name: str,
+        key_values: Mapping[str, Any],
+        assignments: Mapping[str, Any] | Callable[[dict[str, Any]], Mapping[str, Any]],
+        predicate: Optional[Callable[[dict[str, Any]], bool]] = None,
+    ) -> int:
+        """:meth:`Table.update_by_key`, notifying listeners when rows changed."""
+        count = self.table(table_name).update_by_key(key_values, assignments, predicate)
         if count:
             self._notify(table_name, "update")
         return count

@@ -10,7 +10,7 @@ and any number of secondary hash indexes.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.errors import ConstraintViolationError, StorageError
 from repro.storage.indexes import HashIndex
@@ -72,48 +72,56 @@ class Table:
 
     def find_index(self, columns: Sequence[str]) -> HashIndex | None:
         """Return an index exactly covering ``columns`` (in order), if any."""
-        wanted = tuple(self.schema.column_index(column) for column in columns)
+        return self._index_on(tuple(self.schema.column_index(column) for column in columns))
+
+    def _index_on(self, positions: tuple[int, ...]) -> HashIndex | None:
         for index in self._indexes.values():
-            if index.column_positions == wanted:
+            if index.column_positions == positions:
                 return index
         return None
 
     # -- mutation ---------------------------------------------------------------
+    #
+    # Every mutation is all-or-nothing: new rows are computed and checked
+    # against the unique indexes' final state before anything is touched, so
+    # a statement that fails leaves the table exactly as it found it.
 
     def insert(self, values: Sequence[Any]) -> int:
         """Insert a positional row, returning its internal row id."""
-        row = self.schema.validate_row(values)
-        row_id = next(self._next_row_id)
-        # Validate unique indexes before touching any of them so a violation
-        # leaves the table unchanged.
-        for index in self._indexes.values():
-            if index.unique and index.lookup(index.key_for_row(row)):
-                raise ConstraintViolationError(
-                    f"unique index {index.name!r} on table {self.name!r} "
-                    f"violated by row {row!r}"
-                )
-        self._rows[row_id] = row
-        for index in self._indexes.values():
-            index.add(row_id, row)
-        return row_id
+        return self.insert_many([values])[0]
 
     def insert_mapping(self, mapping: dict[str, Any]) -> int:
         """Insert a row given as a column-name → value mapping."""
         return self.insert(self.schema.row_from_mapping(mapping))
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> list[int]:
-        return [self.insert(row) for row in rows]
+        """Insert positional rows, all of them or — on any error — none."""
+        validated = [self.schema.validate_row(values) for values in rows]
+        self._check_unique(validated)
+        row_ids = []
+        for row in validated:
+            row_id = next(self._next_row_id)
+            self._rows[row_id] = row
+            for index in self._indexes.values():
+                index.add(row_id, row)
+            row_ids.append(row_id)
+        return row_ids
 
     def delete_where(self, predicate: Callable[[dict[str, Any]], bool]) -> int:
         """Delete every row whose dict form satisfies ``predicate``."""
-        doomed = [
-            row_id
-            for row_id, row in self._rows.items()
-            if predicate(self.schema.row_as_dict(row))
-        ]
-        for row_id in doomed:
-            self._delete_row_id(row_id)
-        return len(doomed)
+        return self._delete_rows(self._rows.items(), predicate)
+
+    def delete_by_key(
+        self,
+        key_values: Mapping[str, Any],
+        predicate: Optional[Callable[[dict[str, Any]], bool]] = None,
+    ) -> int:
+        """Delete the rows :meth:`lookup_equal` finds for ``key_values``.
+
+        ``predicate``, when given, is a residual filter applied to those rows
+        only.  Returns the number of rows deleted.
+        """
+        return self._delete_rows(self._rows_by_key(key_values), predicate)
 
     def update_where(
         self,
@@ -126,49 +134,89 @@ class Table:
         column → new value assignments (a partial update).  Returns the number
         of rows updated.
         """
-        touched = 0
-        for row_id, row in list(self._rows.items()):
-            as_dict = self.schema.row_as_dict(row)
-            if not predicate(as_dict):
-                continue
-            assignments = updater(as_dict)
-            merged = dict(as_dict)
-            merged.update(assignments)
-            new_row = self.schema.row_from_mapping(merged)
-            self._replace_row(row_id, new_row)
-            touched += 1
-        return touched
+        return self._update_rows(list(self._rows.items()), predicate, updater)
+
+    def update_by_key(
+        self,
+        key_values: Mapping[str, Any],
+        assignments: Mapping[str, Any] | Callable[[dict[str, Any]], Mapping[str, Any]],
+        predicate: Optional[Callable[[dict[str, Any]], bool]] = None,
+    ) -> int:
+        """Update the rows :meth:`lookup_equal` finds for ``key_values``.
+
+        ``assignments`` is a column → value mapping, or a callable computing
+        one from the current row as :meth:`update_where`'s ``updater`` does;
+        ``predicate``, when given, is a residual filter applied to the keyed
+        rows only.  Returns the number of rows updated (0 when none match).
+        """
+        updater = assignments if callable(assignments) else lambda _row: assignments
+        return self._update_rows(self._rows_by_key(key_values), predicate, updater)
 
     def truncate(self) -> None:
         self._rows.clear()
         for index in self._indexes.values():
             index.clear()
 
-    def _delete_row_id(self, row_id: int) -> None:
-        row = self._rows.pop(row_id)
-        for index in self._indexes.values():
-            index.remove(row_id, row)
-
-    def _replace_row(self, row_id: int, new_row: tuple[Any, ...]) -> None:
-        old_row = self._rows[row_id]
-        for index in self._indexes.values():
-            index.remove(row_id, old_row)
-        try:
+    def _delete_rows(
+        self,
+        targets: Iterable[tuple[int, tuple[Any, ...]]],
+        predicate: Optional[Callable[[dict[str, Any]], bool]],
+    ) -> int:
+        doomed = [
+            row_id
+            for row_id, row in targets
+            if predicate is None or predicate(self.schema.row_as_dict(row))
+        ]
+        for row_id in doomed:
+            row = self._rows.pop(row_id)
             for index in self._indexes.values():
-                if index.unique and index.lookup(index.key_for_row(new_row)):
-                    raise ConstraintViolationError(
-                        f"unique index {index.name!r} on table {self.name!r} "
-                        f"violated by update to {new_row!r}"
-                    )
+                index.remove(row_id, row)
+        return len(doomed)
+
+    def _update_rows(
+        self,
+        targets: Iterable[tuple[int, tuple[Any, ...]]],
+        predicate: Optional[Callable[[dict[str, Any]], bool]],
+        updater: Callable[[dict[str, Any]], Mapping[str, Any]],
+    ) -> int:
+        """The one apply loop behind both the scanning and the keyed update."""
+        changes: dict[int, tuple[Any, ...]] = {}
+        for row_id, row in targets:
+            as_dict = self.schema.row_as_dict(row)
+            if predicate is not None and not predicate(as_dict):
+                continue
+            merged = dict(as_dict)
+            merged.update(updater(as_dict))
+            changes[row_id] = self.schema.row_from_mapping(merged)
+        self._check_unique(changes.values(), vacated=changes)
+        # drop every old index entry before adding any new one, so rows that
+        # trade keys (k = 3 - k) never meet each other half-way
+        for row_id in changes:
+            for index in self._indexes.values():
+                index.remove(row_id, self._rows[row_id])
+        for row_id, new_row in changes.items():
             self._rows[row_id] = new_row
             for index in self._indexes.values():
                 index.add(row_id, new_row)
-        except ConstraintViolationError:
-            # restore the original row and its index entries before re-raising
-            self._rows[row_id] = old_row
-            for index in self._indexes.values():
-                index.add(row_id, old_row)
-            raise
+        return len(changes)
+
+    def _check_unique(
+        self, rows: Collection[tuple[Any, ...]], vacated: Collection[int] = ()
+    ) -> None:
+        """Raise unless ``rows`` fit every unique index once the row ids in
+        ``vacated`` have given up their current entries."""
+        for index in self._indexes.values():
+            if not index.unique:
+                continue
+            claimed: set[tuple[Any, ...]] = set()
+            for row in rows:
+                key = index.key_for_row(row)
+                if key in claimed or any(held not in vacated for held in index.lookup(key)):
+                    raise ConstraintViolationError(
+                        f"unique index {index.name!r} on table {self.name!r} "
+                        f"violated by row {row!r}"
+                    )
+                claimed.add(key)
 
     # -- querying ---------------------------------------------------------------
 
@@ -177,33 +225,33 @@ class Table:
         for row in self.rows():
             yield self.schema.row_as_dict(row)
 
-    def lookup_equal(self, column_values: dict[str, Any]) -> list[dict[str, Any]]:
+    def _rows_by_key(self, key_values: Mapping[str, Any]) -> list[tuple[int, tuple[Any, ...]]]:
+        """``(row id, row)`` pairs whose columns equal ``key_values``, in row-id order."""
+        positions = tuple(self.schema.column_index(column) for column in key_values)
+        key = tuple(key_values.values())
+        if any(value is None for value in key):
+            return []
+        index = self._index_on(positions)
+        if index is not None:
+            return [(row_id, self._rows[row_id]) for row_id in sorted(index.lookup(key))]
+        return [
+            (row_id, row)
+            for row_id, row in self._rows.items()
+            if all(row[position] == value for position, value in zip(positions, key))
+        ]
+
+    def lookup_equal(self, column_values: Mapping[str, Any]) -> list[dict[str, Any]]:
         """All rows matching the conjunction of ``column = value`` predicates.
 
-        Uses a covering hash index when one exists, otherwise falls back to a
-        scan.  The probe values are validated against the column types first so
-        that e.g. probing an INTEGER column with a float key behaves like the
-        scan path.
+        Equality is SQL ``=`` as the expression evaluator computes it, so the
+        result is exactly what a ``WHERE`` filter over the same equalities
+        keeps: a NULL probe matches nothing, and the probe value is compared as
+        given — not coerced through the column type — so a constant the column
+        could never hold matches nothing instead of raising.  An index covering
+        exactly the key columns answers the probe with one bucket lookup;
+        without one the table is scanned.
         """
-        if not column_values:
-            return list(self.scan())
-        columns = list(column_values.keys())
-        validated = {
-            column: self.schema.column(column).validate(value)
-            for column, value in column_values.items()
-        }
-        index = self.find_index(columns)
-        if index is not None:
-            key = tuple(validated[column] for column in columns)
-            return [
-                self.schema.row_as_dict(self._rows[row_id])
-                for row_id in sorted(index.lookup(key))
-            ]
-        return [
-            row
-            for row in self.scan()
-            if all(row[self.schema.column(c).name] == v for c, v in validated.items())
-        ]
+        return [self.schema.row_as_dict(row) for _, row in self._rows_by_key(column_values)]
 
     def contains_row(self, values: Sequence[Any]) -> bool:
         """Whether an exact positional row is present (bag membership >= 1)."""

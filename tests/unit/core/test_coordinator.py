@@ -84,6 +84,56 @@ class TestSubmission:
         assert rows[kramer.query_id] == "answered"
 
 
+def pair_sql(traveler: str, companion: str) -> str:
+    return (
+        f"SELECT '{traveler}', fno INTO ANSWER Reservation "
+        "WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Paris') "
+        f"AND ('{companion}', fno) IN ANSWER Reservation CHOOSE 1"
+    )
+
+
+class TestPendingMirrorCost:
+    """Status flips in ``_pending_queries`` touch one row, however much
+    answered history the table holds."""
+
+    @staticmethod
+    def mirror_rows_visited(system, monkeypatch, cycle: str) -> int:
+        """Rows of the mirror read while one submit → answer → cancel cycle runs."""
+        from repro.storage.schema import TableSchema
+        from repro.storage.table import Table
+
+        visited = 0
+        original = TableSchema.row_as_dict
+
+        def counting(schema, row):
+            nonlocal visited
+            visited += schema.name == PENDING_TABLE
+            return original(schema, row)
+
+        def no_scans(*_args, **_kwargs):
+            raise AssertionError("the pending mirror must not be scanned")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(TableSchema, "row_as_dict", counting)
+            patch.setattr(Table, "update_where", no_scans)
+            first = system.submit_entangled(pair_sql(f"{cycle}a", f"{cycle}b"))
+            second = system.submit_entangled(pair_sql(f"{cycle}b", f"{cycle}a"))
+            parked = system.submit_entangled(pair_sql(f"{cycle}c", "nobody"))
+            system.coordinator.cancel(parked.query_id)
+        assert first.status is second.status is QueryStatus.ANSWERED
+        assert parked.status is QueryStatus.CANCELLED
+        return visited
+
+    def test_status_flips_do_not_grow_with_answered_history(self, system, monkeypatch):
+        fresh = self.mirror_rows_visited(system, monkeypatch, "warm")
+        for pair in range(2000):
+            system.submit_entangled(pair_sql(f"p{pair}a", f"p{pair}b"))
+            system.submit_entangled(pair_sql(f"p{pair}b", f"p{pair}a"))
+        assert len(system.database.table(PENDING_TABLE)) == 4003
+        after_history = self.mirror_rows_visited(system, monkeypatch, "late")
+        assert after_history == fresh == 3  # one row per flip: two answers, one cancel
+
+
 class TestWaitAndCancel:
     def test_wait_returns_answer_from_other_thread(self, system):
         kramer = system.submit_entangled(KRAMER_SQL, owner="Kramer")

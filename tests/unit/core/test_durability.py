@@ -275,6 +275,29 @@ class TestRecovery:
         assert len(flights.rows) == 3  # the INSERT was not re-applied
         recovered.close()
 
+    @pytest.mark.parametrize(
+        "failing",
+        ["UPDATE T SET k = 4 WHERE k >= 2", "INSERT INTO T VALUES (5, 50), (1, 99)"],
+    )
+    def test_failed_statement_leaves_live_state_equal_to_recovered(self, tmp_path, failing):
+        """A failing statement is never journaled, so it must change nothing
+        live either: the state before it, after it, and after a crash and
+        recovery are one and the same."""
+        from repro.errors import ConstraintViolationError
+
+        system = build_system(tmp_path)
+        system.execute("CREATE TABLE T (k INT PRIMARY KEY, v INT)")
+        system.execute("INSERT INTO T VALUES (1, 10), (2, 20), (3, 30)")
+        before = system.query("SELECT * FROM T ORDER BY k").rows
+        with pytest.raises(ConstraintViolationError):
+            system.execute(failing)
+        assert system.query("SELECT * FROM T ORDER BY k").rows == before
+        crash(system)
+
+        recovered = build_system(tmp_path)
+        assert recovered.query("SELECT * FROM T ORDER BY k").rows == before
+        recovered.close()
+
     def test_snapshot_between_registration_and_commit_record(self, tmp_path):
         """A commit in the log tail lands on queries the snapshot holds pending."""
         system = build_system(tmp_path)

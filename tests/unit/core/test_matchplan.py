@@ -118,6 +118,19 @@ def test_grid_candidates_preserve_insertion_order_within_bucket():
     assert grid.candidates(ghost_probe) == []
 
 
+def test_grid_removal_leaves_no_empty_buckets():
+    """Answered queries leave nothing behind: a bucket keyed by a query's own
+    constant must not outlive the query."""
+    grid = GridProviderIndex()
+    queries = random_queries(7, 30)
+    for query in queries:
+        grid.add_query(query)
+    for query in queries:
+        grid.remove_query(query)
+    assert len(grid) == 0
+    assert (grid._by_relation, grid._const_columns, grid._var_columns) == ({}, {}, {})
+
+
 def test_build_provider_index_rejects_unknown_kind():
     assert isinstance(build_provider_index("grid"), GridProviderIndex)
     assert isinstance(build_provider_index("single_key"), ProviderIndex)

@@ -25,6 +25,12 @@ class TestBasics:
     def test_identifiers_preserve_case(self):
         assert values("Flights fno_2") == ["Flights", "fno_2"]
 
+    def test_identifiers_are_shared_across_statements(self):
+        # a server keeps every compiled query: equal names must be one object
+        first, second = tokenize("Flights fno"), tokenize("fno FROM Flights")
+        assert first[0].value is second[2].value
+        assert first[1].value is second[0].value
+
     def test_numbers(self):
         tokens = tokenize("42 3.14 .5")
         assert [t.type for t in tokens[:-1]] == [

@@ -91,6 +91,16 @@ class TestListeners:
         catalog.update_where("Flights", lambda row: False, lambda row: {})
         assert seen == []
 
+    def test_keyed_writes_notify_only_when_rows_changed(self, catalog: Database):
+        seen: list[str] = []
+        catalog.add_listener(lambda table, kind: seen.append(kind))
+        assert catalog.update_by_key("Flights", {"fno": 999}, {"dest": "Bern"}) == 0
+        assert catalog.delete_by_key("Flights", {"fno": 999}) == 0
+        assert seen == []
+        assert catalog.update_by_key("Flights", {"fno": 122}, {"dest": "Bern"}) == 1
+        assert catalog.delete_by_key("Flights", {"fno": 122}) == 1
+        assert seen == ["update", "delete"]
+
     def test_remove_listener(self, catalog: Database):
         seen: list[str] = []
         listener = lambda table, kind: seen.append(kind)  # noqa: E731
