@@ -4,7 +4,7 @@
 relation that is shared among multiple queries in the system" (demo paper,
 Section 1).  In this reproduction answer relations are ordinary tables in the
 catalog, so applications can read coordinated answers with plain SQL and the
-SQLite mirror persists them like any other table.
+durability snapshots persist them like any other table.
 
 The :class:`AnswerRelationRegistry` tracks which tables are answer relations,
 lets applications declare meaningful column names/types up front (the travel

@@ -4,9 +4,9 @@
 :class:`~repro.core.system.YoutopiaSystem` and
 :class:`~repro.core.coordinator.Coordinator`: one frozen dataclass carries
 every tuning knob, can be passed around (benchmark sweeps, the service layer,
-future network servers), compared, and overridden immutably.  The legacy
-keyword arguments remain accepted by both constructors and are folded into a
-``SystemConfig`` internally.
+future network servers), compared, and overridden immutably.  The
+coordinator requires one; ``YoutopiaSystem`` still accepts its legacy keyword
+arguments and folds them into a ``SystemConfig`` internally.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ class SystemConfig:
         Let the relational optimizer use storage indexes for plain SQL.
     auto_retry_on_data_change:
         Re-attempt pending coordinations when base data changes.
-    persist_to:
-        Path of a SQLite mirror database, or ``None`` for memory-only.
     match_workers:
         Number of background matching threads.  ``0`` (the default) keeps the
         classic inline behaviour: every ``submit`` runs a match pass under the
@@ -139,7 +137,6 @@ class SystemConfig:
     use_constant_index: bool = True
     enable_index_lookup: bool = True
     auto_retry_on_data_change: bool = False
-    persist_to: Optional[Union[str, Path]] = None
     match_workers: int = 0
     shard_count: Optional[int] = None
     idle_sweep_interval: float = 0.25
@@ -175,7 +172,6 @@ class SystemConfig:
             "use_constant_index": self.use_constant_index,
             "enable_index_lookup": self.enable_index_lookup,
             "auto_retry_on_data_change": self.auto_retry_on_data_change,
-            "persist_to": None if self.persist_to is None else str(self.persist_to),
             "match_workers": self.match_workers,
             "shard_count": self.resolved_shard_count,
             "idle_sweep_interval": self.idle_sweep_interval,

@@ -14,9 +14,10 @@ retry": it stays in the pool and is reconsidered whenever a new query arrives,
 whenever the base data changes (optional), or when :meth:`retry_pending` is
 called explicitly.
 
-The pending pool is mirrored into an internal table ``_pending_queries`` so
-the administrative interface (and plain SQL) can inspect it, exactly as the
-paper describes.
+That internal table is ``_pending_queries``: a read-only view computed from
+the coordinator's request records at read time (never a stored copy), so the
+administrative interface and plain SQL inspect the pool exactly as the paper
+describes.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ from repro.errors import (
 from repro.relalg.engine import QueryEngine
 from repro.sqlparser import ast
 from repro.storage.database import Database
+from repro.storage.schema import make_schema
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.durability import DurabilityManager
@@ -124,19 +126,9 @@ class Coordinator:
         executor: JointExecutor,
         event_bus: Optional[EventBus] = None,
         rng: Optional[random.Random] = None,
-        max_group_size: int = 32,
-        use_exhaustive_baseline: bool = False,
-        use_constant_index: bool = True,
-        auto_retry_on_data_change: bool = False,
-        config: Optional[SystemConfig] = None,
+        *,
+        config: SystemConfig,
     ) -> None:
-        if config is None:
-            config = SystemConfig(
-                max_group_size=max_group_size,
-                use_exhaustive_baseline=use_exhaustive_baseline,
-                use_constant_index=use_constant_index,
-                auto_retry_on_data_change=auto_retry_on_data_change,
-            )
         self.config = config
         self.database = database
         self.engine = engine
@@ -209,51 +201,52 @@ class Coordinator:
             )
             self._pool = self._tiering.new_pool()
 
-        self._ensure_pending_table()
+        self.database.create_view(
+            make_schema(
+                PENDING_TABLE,
+                [
+                    ("query_id", "TEXT", False),
+                    ("owner", "TEXT"),
+                    ("status", "TEXT", False),
+                    ("sql", "TEXT"),
+                    ("registered_at", "REAL"),
+                ],
+                primary_key=("query_id",),
+            ),
+            self._pending_table_rows,
+        )
         if config.auto_retry_on_data_change:
             self.database.add_listener(self._on_data_change)
 
-    # -- internal bookkeeping tables -------------------------------------------------------
+    # -- the internal pending-query table -------------------------------------------------
 
-    def _ensure_pending_table(self) -> None:
-        self.database.create_table(
-            name=PENDING_TABLE,
-            columns=[
-                ("query_id", "TEXT", False),
-                ("owner", "TEXT"),
-                ("status", "TEXT", False),
-                ("sql", "TEXT"),
-                ("registered_at", "REAL"),
-            ],
-            primary_key=("query_id",),
-            if_not_exists=True,
-        )
+    def _pending_table_rows(self) -> list[tuple[Any, ...]]:
+        """Rows of the ``_pending_queries`` view, in registration order.
 
-    def _record_pending_row(self, request: CoordinationRequest) -> None:
-        self.database.insert_mapping(
-            PENDING_TABLE,
-            {
-                "query_id": request.query_id,
-                "owner": request.owner,
-                "status": request.status.value,
-                "sql": request.query.sql or request.query.describe(),
-                "registered_at": request.registered_at,
-            },
-        )
-
-    def _update_pending_row(self, request: CoordinationRequest) -> None:
-        # probes the query_id primary key, so the cost does not grow with the
-        # answered history the table holds (a recovered REJECTED request has
-        # no row and updates nothing)
-        self.database.update_by_key(
-            PENDING_TABLE, {"query_id": request.query_id}, {"status": request.status.value}
-        )
+        Computed from the request records at read time, so the table can
+        never drift from them.  ``self._lock`` comes last in every lock
+        order, so a read from inside a hook or a grounding query is safe.
+        Rejected requests never entered the pool and have no row.
+        """
+        with self._lock:
+            requests = list(self._requests.values())
+        return [
+            (
+                request.query_id,
+                request.owner,
+                request.status.value,
+                request.query.sql or request.query.describe(),
+                request.registered_at,
+            )
+            for request in requests
+            if request.status is not QueryStatus.REJECTED
+        ]
 
     # -- data-change retries ----------------------------------------------------------------
 
     def _is_coordination_table(self, table_name: str) -> bool:
         """Tables whose changes are coordination side effects, not base data."""
-        return table_name.lower() == PENDING_TABLE or table_name in self.registry.names()
+        return table_name in self.registry.names()
 
     def _on_data_change(self, table_name: str, kind: str) -> None:
         if getattr(self._executing, "active", False):
@@ -442,7 +435,6 @@ class Coordinator:
             owner=query.owner,
             sql=query.sql or query.describe(),
         )
-        self._record_pending_row(request)
 
     # -- matching ----------------------------------------------------------------------------------
 
@@ -640,7 +632,6 @@ class Coordinator:
             request.status = QueryStatus.ANSWERED
             self.statistics.queries_answered += 1
             self._remove_pending(answer.query_id)
-            self._update_pending_row(request)
             self.events.publish(
                 EventType.QUERY_ANSWERED,
                 query_id=answer.query_id,
@@ -796,7 +787,6 @@ class Coordinator:
         """
         request.status = QueryStatus.CANCELLED
         self.statistics.queries_cancelled += 1
-        self._update_pending_row(request)
         self.events.publish(
             EventType.QUERY_CANCELLED, query_id=request.query_id, owner=request.owner
         )
@@ -859,8 +849,6 @@ class Coordinator:
 
         tables: list[dict[str, Any]] = []
         for table in self.database.tables():
-            if table.name.lower() == PENDING_TABLE:
-                continue  # rebuilt from the recovered requests on load
             schema = table.schema
             tables.append(
                 {
@@ -983,7 +971,6 @@ class Coordinator:
                     self._add_pending(query)
                     self._requests[query_id] = request
                     self.statistics.queries_registered += 1
-                    self._record_pending_row(request)
                 return True
             status = QueryStatus.REJECTED
         elif status is QueryStatus.PENDING:
@@ -1010,8 +997,6 @@ class Coordinator:
             request.answer = codec.decode_answer(query_id, answer)
         with self._lock:
             self._requests[query_id] = request
-        if status is not QueryStatus.REJECTED:
-            self._record_pending_row(request)
         return True
 
     def apply_recovered_commit(
@@ -1042,7 +1027,6 @@ class Coordinator:
                 request.status = QueryStatus.ANSWERED
                 self.statistics.queries_answered += 1
                 self._discard_pending(answer.query_id)
-                self._update_pending_row(request)
                 applied += 1
             if applied:
                 self.statistics.groups_matched += 1
@@ -1058,7 +1042,6 @@ class Coordinator:
             request.status = QueryStatus.CANCELLED
             self.statistics.queries_cancelled += 1
             self._discard_pending(query_id)
-            self._update_pending_row(request)
             self._answered.notify_all()
         return True
 

@@ -923,14 +923,11 @@ def apply_snapshot_state(
     crash recovery and standby bootstrap (the primary hands a joining standby
     this exact state shape via ``subscribe_with_snapshot``).
     """
-    from repro.core.coordinator import PENDING_TABLE
     from repro.storage.schema import Column, ColumnType, TableSchema
 
     database = system.database
     for table_state in state.get("tables") or ():
         name = str(table_state["name"])
-        if name.lower() == PENDING_TABLE:
-            continue  # rebuilt from the recovered requests below
         columns = tuple(
             Column(
                 str(column["name"]),

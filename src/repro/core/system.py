@@ -16,7 +16,6 @@ admin interface — talk to this facade (usually through a per-user
 from __future__ import annotations
 
 import random
-from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
 from repro.core import ir
@@ -33,7 +32,6 @@ from repro.relalg.engine import QueryEngine, QueryResult
 from repro.sqlparser import ast, parse_script, parse_statement
 from repro.sqlparser.pretty import format_statement
 from repro.storage.database import Database
-from repro.storage.sqlite_backend import SQLiteMirror
 
 
 class YoutopiaSystem:
@@ -56,7 +54,6 @@ class YoutopiaSystem:
         use_constant_index: bool = True,
         enable_index_lookup: bool = True,
         auto_retry_on_data_change: bool = False,
-        persist_to: Optional[Union[str, Path]] = None,
         config: Optional[SystemConfig] = None,
     ) -> None:
         if config is None:
@@ -67,7 +64,6 @@ class YoutopiaSystem:
                 use_constant_index=use_constant_index,
                 enable_index_lookup=enable_index_lookup,
                 auto_retry_on_data_change=auto_retry_on_data_change,
-                persist_to=persist_to,
             )
         self.config = config
         self.database = database or Database()
@@ -94,8 +90,7 @@ class YoutopiaSystem:
         )
         #: Durability subsystem (write-ahead log + snapshots).  Recovery runs
         #: *before* the journal is attached so replayed transitions are not
-        #: re-journaled, and before the SQLite mirror attaches so the mirror's
-        #: initial sync sees the recovered tables.
+        #: re-journaled.
         self.durability: Optional[DurabilityManager] = None
         self.recovery: Optional[RecoveryReport] = None
         if config.data_dir is not None:
@@ -117,17 +112,6 @@ class YoutopiaSystem:
                 # A post-recovery checkpoint makes the next restart replay
                 # from a fresh snapshot instead of the whole log again.
                 self.coordinator.checkpoint()
-        self._mirror: Optional[SQLiteMirror] = None
-        if config.persist_to is not None:
-            # The WAL's fsync policy extends to the mirror only when the
-            # durability subsystem is actually on; a mirror-only system keeps
-            # SQLite's fully-synchronous default (the pre-durability
-            # behaviour, and what config.py documents).
-            mirror_policy = config.fsync_policy if config.data_dir is not None else "always"
-            self._mirror = SQLiteMirror(
-                self.database, config.persist_to, fsync_policy=mirror_policy
-            )
-            self._mirror.attach()
 
     # -- lifecycle -------------------------------------------------------------------------
 
@@ -143,9 +127,6 @@ class YoutopiaSystem:
         self.coordinator.shutdown()
         if self.durability is not None:
             self.durability.close()
-        if self._mirror is not None:
-            self._mirror.close()
-            self._mirror = None
 
     @property
     def recovered(self) -> bool:

@@ -5,8 +5,8 @@ Public surface:
 * :class:`~repro.storage.schema.Column`, :class:`~repro.storage.schema.ColumnType`,
   :class:`~repro.storage.schema.TableSchema`, :func:`~repro.storage.schema.make_schema`
 * :class:`~repro.storage.table.Table` and :class:`~repro.storage.indexes.HashIndex`
-* :class:`~repro.storage.database.Database` — the catalog used by the rest of the system
-* :class:`~repro.storage.sqlite_backend.SQLiteMirror` — optional persistence
+* :class:`~repro.storage.database.Database` — the catalog used by the rest of the
+  system: stored tables plus read-only views computed at read time
 * :func:`~repro.storage.csvio.import_table` / :func:`~repro.storage.csvio.export_table`
 """
 
@@ -14,7 +14,6 @@ from repro.storage.csvio import export_table, import_table
 from repro.storage.database import Database
 from repro.storage.indexes import HashIndex
 from repro.storage.schema import Column, ColumnType, TableSchema, make_schema
-from repro.storage.sqlite_backend import SQLiteMirror
 from repro.storage.table import Table
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "ColumnType",
     "Database",
     "HashIndex",
-    "SQLiteMirror",
     "Table",
     "TableSchema",
     "export_table",

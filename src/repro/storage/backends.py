@@ -137,9 +137,9 @@ class SQLitePendingStore:
     * Writes accumulate in one open transaction and commit every
       ``commit_interval`` mutations; ``sync()`` commits unconditionally —
       that is the barrier the coordinator's checkpoint relies on.
-    * ``PRAGMA synchronous`` follows the system's fsync policy the same way
-      the SQLite mirror does (``never`` → OFF, otherwise FULL), so a cold
-      store inside a durable data dir is as crash-safe as the WAL next to it.
+    * ``PRAGMA synchronous`` follows the system's fsync policy (``never`` →
+      OFF, otherwise FULL), so a cold store inside a durable data dir is as
+      crash-safe as the WAL next to it.
     * A single connection guarded by a lock (``check_same_thread=False``):
       eviction/page-in already serialise on shard locks, so backend
       contention is not a hot path.

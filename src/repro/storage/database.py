@@ -5,6 +5,11 @@ This is the "regular database tables" box of the Youtopia architecture
 lookups used by the relational engine, whole-database snapshots used by the
 transaction layer, and change notification hooks used by the coordination
 component to re-try pending entangled queries when base data changes.
+
+A *view* is a read-only table whose rows a function computes at read time:
+the coordinator serves its internal ``_pending_queries`` table this way, so
+the table is never a second copy of state kept elsewhere.  Reads see a view
+like any table; writes, DDL and snapshots leave it alone.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from repro.errors import DuplicateTableError, UnknownTableError
+from repro.errors import DuplicateTableError, StorageError, UnknownTableError
 from repro.storage.schema import Column, ColumnType, TableSchema, make_schema
 from repro.storage.table import Table
 
@@ -27,6 +32,8 @@ class Database:
     def __init__(self, name: str = "youtopia") -> None:
         self.name = name
         self._tables: dict[str, Table] = {}
+        # lowercase name -> (schema, row function) of each read-only view
+        self._views: dict[str, tuple[TableSchema, Callable[[], Iterable[Sequence[Any]]]]] = {}
         self._lock = threading.RLock()
         self._listeners: list[ChangeListener] = []
 
@@ -47,6 +54,7 @@ class Database:
                 raise ValueError("either a schema or name+columns must be provided")
             schema = make_schema(name, columns, primary_key)
         key = schema.name.lower()
+        self._refuse_view(schema.name)
         with self._lock:
             if key in self._tables:
                 if if_not_exists:
@@ -57,8 +65,25 @@ class Database:
         self._notify(schema.name, "create")
         return table
 
+    def create_view(
+        self, schema: TableSchema, rows: Callable[[], Iterable[Sequence[Any]]]
+    ) -> None:
+        """Register a read-only table whose rows ``rows()`` computes per read.
+
+        Registering a view under the name of an existing view rebinds it.
+        """
+        with self._lock:
+            if schema.name.lower() in self._tables:
+                raise DuplicateTableError(schema.name)
+            self._views[schema.name.lower()] = (schema, rows)
+
+    def _refuse_view(self, name: str) -> None:
+        if name.lower() in self._views:
+            raise StorageError(f"{name!r} is a read-only view")
+
     def drop_table(self, name: str, if_exists: bool = False) -> None:
         key = name.lower()
+        self._refuse_view(name)
         with self._lock:
             if key not in self._tables:
                 if if_exists:
@@ -70,39 +95,48 @@ class Database:
     # -- lookups ------------------------------------------------------------------
 
     def table(self, name: str) -> Table:
+        """The named table; a view is built afresh from its current rows."""
+        key = name.lower()
+        if key in self._views:
+            schema, rows = self._views[key]
+            view = Table(schema)
+            view.insert_many(rows())
+            return view
         try:
-            return self._tables[name.lower()]
+            return self._tables[key]
         except KeyError:
             raise UnknownTableError(name) from None
 
     def has_table(self, name: str) -> bool:
-        return name.lower() in self._tables
+        return name.lower() in self._tables or name.lower() in self._views
 
     def table_names(self) -> list[str]:
         with self._lock:
-            return sorted(table.name for table in self._tables.values())
+            names = [table.name for table in self._tables.values()]
+            return sorted(names + [schema.name for schema, _ in self._views.values()])
 
     def tables(self) -> Iterator[Table]:
+        """The stored tables (views excluded: they hold no state of their own)."""
         with self._lock:
             return iter(list(self._tables.values()))
 
     def schema(self, name: str) -> TableSchema:
-        return self.table(name).schema
+        view = self._views.get(name.lower())
+        return view[0] if view is not None else self.table(name).schema
 
     # -- DML convenience wrappers ---------------------------------------------------
 
-    def insert(self, table_name: str, values: Sequence[Any]) -> int:
-        row_id = self.table(table_name).insert(values)
-        self._notify(table_name, "insert")
-        return row_id
+    def _writable(self, table_name: str) -> Table:
+        self._refuse_view(table_name)
+        return self.table(table_name)
 
-    def insert_mapping(self, table_name: str, mapping: dict[str, Any]) -> int:
-        row_id = self.table(table_name).insert_mapping(mapping)
+    def insert(self, table_name: str, values: Sequence[Any]) -> int:
+        row_id = self._writable(table_name).insert(values)
         self._notify(table_name, "insert")
         return row_id
 
     def insert_many(self, table_name: str, rows: Iterable[Sequence[Any]]) -> list[int]:
-        ids = self.table(table_name).insert_many(rows)
+        ids = self._writable(table_name).insert_many(rows)
         if ids:
             self._notify(table_name, "insert")
         return ids
@@ -110,7 +144,7 @@ class Database:
     def delete_where(
         self, table_name: str, predicate: Callable[[dict[str, Any]], bool]
     ) -> int:
-        count = self.table(table_name).delete_where(predicate)
+        count = self._writable(table_name).delete_where(predicate)
         if count:
             self._notify(table_name, "delete")
         return count
@@ -121,7 +155,7 @@ class Database:
         predicate: Callable[[dict[str, Any]], bool],
         updater: Callable[[dict[str, Any]], dict[str, Any]],
     ) -> int:
-        count = self.table(table_name).update_where(predicate, updater)
+        count = self._writable(table_name).update_where(predicate, updater)
         if count:
             self._notify(table_name, "update")
         return count
@@ -133,7 +167,7 @@ class Database:
         predicate: Optional[Callable[[dict[str, Any]], bool]] = None,
     ) -> int:
         """:meth:`Table.delete_by_key`, notifying listeners when rows went."""
-        count = self.table(table_name).delete_by_key(key_values, predicate)
+        count = self._writable(table_name).delete_by_key(key_values, predicate)
         if count:
             self._notify(table_name, "delete")
         return count
@@ -146,13 +180,13 @@ class Database:
         predicate: Optional[Callable[[dict[str, Any]], bool]] = None,
     ) -> int:
         """:meth:`Table.update_by_key`, notifying listeners when rows changed."""
-        count = self.table(table_name).update_by_key(key_values, assignments, predicate)
+        count = self._writable(table_name).update_by_key(key_values, assignments, predicate)
         if count:
             self._notify(table_name, "update")
         return count
 
     def truncate(self, table_name: str) -> None:
-        self.table(table_name).truncate()
+        self._writable(table_name).truncate()
         self._notify(table_name, "truncate")
 
     # -- change notification ----------------------------------------------------------
@@ -193,9 +227,11 @@ class Database:
     # -- statistics ------------------------------------------------------------------------
 
     def statistics(self) -> dict[str, int]:
-        """Row counts per table, for the administrative interface."""
+        """Row counts per table and view, for the administrative interface."""
         with self._lock:
-            return {table.name: len(table) for table in self._tables.values()}
+            counts = {table.name: len(table) for table in self._tables.values()}
+            views = [schema.name for schema, _ in self._views.values()]
+        return counts | {name: len(self.table(name)) for name in views}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Database({self.name!r}, tables={self.table_names()})"

@@ -2,13 +2,11 @@
 
 A query flows front end → query compiler → coordination component →
 execution engine → database; the coordination component's internal
-pending-query table is visible to plain SQL; the administrative interface can
-inspect every stage; and state optionally persists through the SQLite mirror.
+pending-query table is visible to plain SQL; and the administrative interface
+can inspect every stage.
 """
 
 from __future__ import annotations
-
-import sqlite3
 
 import pytest
 
@@ -81,31 +79,6 @@ class TestComponentFlow:
         assert "Scan" in admin.explain("SELECT fno FROM Flights") or "IndexLookup" in admin.explain(
             "SELECT fno FROM Flights"
         )
-
-
-class TestPersistence:
-    def test_three_tier_state_survives_in_sqlite(self, tmp_path, kramer_sql, jerry_sql):
-        path = tmp_path / "demo.db"
-        with YoutopiaSystem(seed=0, persist_to=path) as system:
-            system.execute("CREATE TABLE Flights (fno INT PRIMARY KEY, dest TEXT)")
-            system.execute(
-                "INSERT INTO Flights VALUES (122, 'Paris'), (123, 'Paris'), "
-                "(134, 'Paris'), (136, 'Rome')"
-            )
-            system.declare_answer_relation("Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"])
-            system.submit_entangled(kramer_sql, owner="Kramer")
-            system.submit_entangled(jerry_sql, owner="Jerry")
-
-        connection = sqlite3.connect(str(path))
-        tables = {
-            row[0]
-            for row in connection.execute("SELECT name FROM sqlite_master WHERE type='table'")
-        }
-        assert {"Flights", "Reservation", "_pending_queries"} <= tables
-        travelers = {
-            row[0] for row in connection.execute("SELECT traveler FROM Reservation").fetchall()
-        }
-        assert travelers == {"Kramer", "Jerry"}
 
 
 class TestIsolationAndAtomicity:

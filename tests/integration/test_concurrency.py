@@ -13,7 +13,10 @@ import threading
 import pytest
 
 from repro.apps.travel.service import TravelService
+from repro.core.config import SystemConfig
 from repro.core.coordinator import QueryStatus
+from repro.core.sharding import route_signature
+from repro.core.system import YoutopiaSystem
 from repro.errors import (
     CoordinationTimeoutError,
     EntanglementError,
@@ -288,3 +291,96 @@ class TestBatchSubmission:
         assert len(all_requests) == 32
         assert all(request.status is QueryStatus.ANSWERED for request in all_requests)
         assert system.coordinator.pending_count() == 0
+
+
+def pair_sql(relation: str, traveler: str, companion: str) -> str:
+    return (
+        f"SELECT '{traveler}', fno INTO ANSWER {relation} "
+        "WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Paris') "
+        f"AND ('{companion}', fno) IN ANSWER {relation} CHOOSE 1"
+    )
+
+
+def other_shard_relation(relation: str, shard_count: int) -> str:
+    """An answer relation that routes to a different shard than ``relation``."""
+    home = route_signature(frozenset({relation.lower()}), shard_count)
+    return next(
+        candidate
+        for candidate in (f"Booking{i}" for i in range(100))
+        if route_signature(frozenset({candidate.lower()}), shard_count) != home
+    )
+
+
+class TestRollbackRace:
+    """A joint execution that fails rolls the database back to the snapshot
+    taken when its transaction began; work other threads did meanwhile must
+    survive that rollback."""
+
+    @staticmethod
+    def blocked_failing_execution(system):
+        """Start a pair whose side-effect hook blocks, then fails.
+
+        Returns once the hook is blocking (the transaction is open): call
+        the returned function to let the execution fail and wait it out."""
+        entered, release = threading.Event(), threading.Event()
+
+        def hook(_relation, _values, _engine):
+            entered.set()
+            release.wait(timeout=10.0)
+            raise RuntimeError("side effect failed")
+
+        system.execute_script(
+            "CREATE TABLE Flights (fno INT PRIMARY KEY, dest TEXT);"
+            "INSERT INTO Flights VALUES (122, 'Paris'), (136, 'Rome')"
+        )
+        system.register_side_effect(hook, relation="Reservation")
+        # an inline coordinator executes on the submitting thread
+        submitter = threading.Thread(
+            target=system.submit_many,
+            args=([pair_sql("Reservation", "K", "J"), pair_sql("Reservation", "J", "K")],),
+            daemon=True,
+        )
+        submitter.start()
+        assert entered.wait(timeout=10.0)
+
+        def fail_and_settle() -> None:
+            release.set()
+            submitter.join(timeout=10.0)
+            assert not submitter.is_alive()
+            assert system.drain(timeout=10.0)
+
+        return fail_and_settle
+
+    def test_registrations_during_a_failing_execution_stay_visible(self):
+        system = YoutopiaSystem(config=SystemConfig(seed=0, match_workers=2, shard_count=4))
+        try:
+            fail_and_settle = self.blocked_failing_execution(system)
+            relation = other_shard_relation("Reservation", 4)
+            parked = [
+                system.submit_entangled(pair_sql(relation, f"t{i}", f"ghost{i}"))
+                for i in range(4)
+            ]
+            fail_and_settle()
+            listed = {row[0] for row in system.query("SELECT query_id FROM _pending_queries").rows}
+            assert {request.query_id for request in parked} <= listed
+            assert all(request.status is QueryStatus.PENDING for request in parked)
+            assert system.statistics()["executions_failed"] >= 1
+        finally:
+            system.close()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the rollback restores a whole-database snapshot, erasing DML other "
+        "threads committed while the failing transaction was open",
+    )
+    @pytest.mark.parametrize("match_workers", [0, 2])
+    def test_dml_acknowledged_during_a_failing_execution_survives(self, match_workers):
+        config = SystemConfig(seed=0, match_workers=match_workers, shard_count=4)
+        system = YoutopiaSystem(config=config)
+        try:
+            fail_and_settle = self.blocked_failing_execution(system)
+            system.execute("INSERT INTO Flights VALUES (140, 'Oslo')")
+            fail_and_settle()
+            assert system.query("SELECT dest FROM Flights WHERE fno = 140").rows == [("Oslo",)]
+        finally:
+            system.close()

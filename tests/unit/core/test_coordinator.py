@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.errors import (
     QueryAlreadyAnsweredError,
     QueryNotPendingError,
     SafetyError,
+    StorageError,
 )
 
 KRAMER_SQL = (
@@ -83,6 +85,25 @@ class TestSubmission:
         rows = dict(system.query(f"SELECT query_id, status FROM {PENDING_TABLE}").rows)
         assert rows[kramer.query_id] == "answered"
 
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            f"INSERT INTO {PENDING_TABLE} VALUES ('x1', 'Newman', 'pending', 'sql', 0.0)",
+            f"UPDATE {PENDING_TABLE} SET status = 'cancelled'",
+            f"DELETE FROM {PENDING_TABLE} WHERE status = 'pending'",
+            f"DROP TABLE {PENDING_TABLE}",
+            f"CREATE TABLE {PENDING_TABLE} (query_id TEXT)",
+        ],
+    )
+    def test_pending_table_is_read_only(self, system, statement):
+        kramer = system.submit_entangled(KRAMER_SQL, owner="Kramer")
+        before = system.query(f"SELECT * FROM {PENDING_TABLE}").rows
+        with pytest.raises(StorageError):
+            system.execute(statement)
+        assert system.query(f"SELECT * FROM {PENDING_TABLE}").rows == before
+        jerry = system.submit_entangled(JERRY_SQL, owner="Jerry")
+        assert kramer.status is jerry.status is QueryStatus.ANSWERED
+
 
 def pair_sql(traveler: str, companion: str) -> str:
     return (
@@ -93,45 +114,68 @@ def pair_sql(traveler: str, companion: str) -> str:
 
 
 class TestPendingMirrorCost:
-    """Status flips in ``_pending_queries`` touch one row, however much
-    answered history the table holds."""
+    """``_pending_queries`` is a view over the request records: no submit,
+    answer or cancel writes a row to it, however much answered history the
+    coordinator holds."""
 
-    @staticmethod
-    def mirror_rows_visited(system, monkeypatch, cycle: str) -> int:
-        """Rows of the mirror read while one submit → answer → cancel cycle runs."""
-        from repro.storage.schema import TableSchema
+    TABLE_WRITES = (
+        "insert", "insert_mapping", "insert_many", "update_where", "update_by_key",
+        "delete_where", "delete_by_key", "truncate", "restore",
+    )
+    DATABASE_WRITES = (
+        "insert", "insert_many", "update_where", "update_by_key",
+        "delete_where", "delete_by_key", "truncate", "drop_table",
+    )
+
+    @classmethod
+    def cycle_writes(cls, system, monkeypatch, cycle: str) -> tuple[Counter, str]:
+        """Storage writes by table during one submit → answer → cancel cycle,
+        and the id of the cycle's cancelled query."""
+        from repro.storage.database import Database
         from repro.storage.table import Table
 
-        visited = 0
-        original = TableSchema.row_as_dict
+        writes: Counter[str] = Counter()
 
-        def counting(schema, row):
-            nonlocal visited
-            visited += schema.name == PENDING_TABLE
-            return original(schema, row)
+        def counting(method, table_name):
+            def wrapper(self, *args, **kwargs):
+                writes[table_name(self, args).lower()] += 1
+                return method(self, *args, **kwargs)
 
-        def no_scans(*_args, **_kwargs):
-            raise AssertionError("the pending mirror must not be scanned")
+            return wrapper
 
         with monkeypatch.context() as patch:
-            patch.setattr(TableSchema, "row_as_dict", counting)
-            patch.setattr(Table, "update_where", no_scans)
+            for name in cls.TABLE_WRITES:
+                method = getattr(Table, name)
+                patch.setattr(Table, name, counting(method, lambda table, _: table.name))
+            for name in cls.DATABASE_WRITES:
+                method = getattr(Database, name)
+                patch.setattr(Database, name, counting(method, lambda _, args: args[0]))
             first = system.submit_entangled(pair_sql(f"{cycle}a", f"{cycle}b"))
             second = system.submit_entangled(pair_sql(f"{cycle}b", f"{cycle}a"))
             parked = system.submit_entangled(pair_sql(f"{cycle}c", "nobody"))
             system.coordinator.cancel(parked.query_id)
         assert first.status is second.status is QueryStatus.ANSWERED
         assert parked.status is QueryStatus.CANCELLED
-        return visited
+        return writes, parked.query_id
 
     def test_status_flips_do_not_grow_with_answered_history(self, system, monkeypatch):
-        fresh = self.mirror_rows_visited(system, monkeypatch, "warm")
+        fresh, _ = self.cycle_writes(system, monkeypatch, "warm")
         for pair in range(2000):
             system.submit_entangled(pair_sql(f"p{pair}a", f"p{pair}b"))
             system.submit_entangled(pair_sql(f"p{pair}b", f"p{pair}a"))
-        assert len(system.database.table(PENDING_TABLE)) == 4003
-        after_history = self.mirror_rows_visited(system, monkeypatch, "late")
-        assert after_history == fresh == 3  # one row per flip: two answers, one cancel
+        assert system.query(f"SELECT COUNT(*) FROM {PENDING_TABLE}").rows == [(4003,)]
+        after_history, cancelled = self.cycle_writes(system, monkeypatch, "late")
+        for writes in (fresh, after_history):
+            assert writes[PENDING_TABLE] == 0
+            assert writes["reservation"] > 0  # the counters do see the answer writes
+
+        probe = f"SELECT * FROM {PENDING_TABLE} WHERE query_id = '{cancelled}'"
+        scan = f"SELECT * FROM {PENDING_TABLE} WHERE (query_id = '{cancelled}') OR FALSE"
+        assert "IndexLookup" in system.engine.explain(probe)
+        assert "IndexLookup" not in system.engine.explain(scan)
+        rows = system.query(probe).rows
+        assert rows == system.query(scan).rows
+        assert [row[:3] for row in rows] == [(cancelled, None, "cancelled")]
 
 
 class TestWaitAndCancel:

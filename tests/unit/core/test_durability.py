@@ -528,15 +528,6 @@ class TestRecovery:
         snapshot_path.rmdir()
         system.close()
 
-    def test_mirror_without_data_dir_keeps_full_synchronous(self, tmp_path):
-        """persist_to alone must not inherit the WAL's relaxed fsync policy."""
-        system = YoutopiaSystem(
-            config=SystemConfig(seed=0, persist_to=tmp_path / "mirror.sqlite")
-        )
-        (level,) = system._mirror._connection.execute("PRAGMA synchronous").fetchone()
-        assert level == 2  # FULL
-        system.close()
-
     def test_submit_append_failure_registers_nothing(self, tmp_path):
         """A failed submit journal append propagates with no half state: the
         query is not in the pool, so a clean resubmit works."""

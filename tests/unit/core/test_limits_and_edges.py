@@ -15,10 +15,8 @@ import pytest
 from repro.core.baseline import ExhaustiveEvaluator
 from repro.core.compiler import EntangledQueryBuilder, var
 from repro.core.matching import Matcher, ProviderIndex
-from repro.errors import StorageError
 from repro.relalg.engine import QueryEngine, run_script
 from repro.storage.database import Database
-from repro.storage.sqlite_backend import SQLiteMirror
 
 
 @pytest.fixture
@@ -89,16 +87,6 @@ class TestBaselineCaps:
         assert group is not None
         chosen = group.bindings["solo"][0]["fno"]
         assert chosen in (1, 2)  # the cap keeps only the first two candidates
-
-
-class TestSQLiteMirrorValidation:
-    def test_identifier_with_embedded_quote_rejected(self, tmp_path):
-        database = Database()
-        database.create_table(name='Weird"Name', columns=[("a", "INT")])
-        mirror = SQLiteMirror(database, tmp_path / "m.db")
-        with pytest.raises(StorageError):
-            mirror.attach()
-        mirror.close()
 
 
 class TestScalarFunctionExtras:

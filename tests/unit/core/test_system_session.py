@@ -58,27 +58,6 @@ class TestStatementRouting:
         assert system.coordinator.pending_count() == 0
 
 
-class TestPersistence:
-    def test_persist_to_sqlite(self, tmp_path):
-        path = tmp_path / "youtopia.db"
-        with YoutopiaSystem(seed=0, persist_to=path) as system:
-            system.execute_script(SETUP)
-            system.declare_answer_relation(
-                "Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"]
-            )
-            system.execute(KRAMER_SQL, owner="Kramer")
-            system.execute(JERRY_SQL, owner="Jerry")
-        import sqlite3
-
-        connection = sqlite3.connect(str(path))
-        reservations = connection.execute("SELECT COUNT(*) FROM Reservation").fetchone()[0]
-        assert reservations == 2
-        pending = connection.execute(
-            "SELECT COUNT(*) FROM _pending_queries WHERE status = 'answered'"
-        ).fetchone()[0]
-        assert pending == 2
-
-
 class TestSessions:
     def test_sessions_tag_ownership(self, system):
         kramer = system.session("Kramer")

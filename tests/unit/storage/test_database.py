@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import DuplicateTableError, UnknownTableError
+from repro.errors import DuplicateTableError, StorageError, UnknownTableError
 from repro.storage.database import Database
 from repro.storage.schema import make_schema
 
@@ -127,3 +127,50 @@ class TestSnapshots:
         # the table still exists (DDL is not transactional) but is empty
         assert catalog.has_table("Hotels")
         assert len(catalog.table("Hotels")) == 0
+
+
+class TestViews:
+    @pytest.fixture
+    def live(self, catalog: Database) -> list[tuple]:
+        rows = [("q1", "pending")]
+        catalog.create_view(
+            make_schema("Live", [("id", "TEXT"), ("status", "TEXT")], ("id",)), lambda: rows
+        )
+        return rows
+
+    def test_reads_see_the_rows_of_the_moment(self, catalog: Database, live):
+        assert catalog.has_table("live") and "Live" in catalog.table_names()
+        assert catalog.schema("LIVE").column_names == ("id", "status")
+        live.append(("q2", "answered"))
+        assert catalog.table("Live").rows() == [("q1", "pending"), ("q2", "answered")]
+        assert catalog.table("Live").find_index(["id"]) is not None
+        assert catalog.statistics() == {"Flights": 3, "Live": 2}
+
+    def test_writes_and_ddl_are_refused(self, catalog: Database, live):
+        for write in (
+            lambda: catalog.insert("Live", ("q9", "pending")),
+            lambda: catalog.insert_many("Live", [("q9", "pending")]),
+            lambda: catalog.update_by_key("Live", {"id": "q1"}, {"status": "x"}),
+            lambda: catalog.update_where("Live", lambda row: True, lambda row: {}),
+            lambda: catalog.delete_by_key("Live", {"id": "q1"}),
+            lambda: catalog.delete_where("Live", lambda row: True),
+            lambda: catalog.truncate("Live"),
+            lambda: catalog.drop_table("Live"),
+            lambda: catalog.create_table(name="Live", columns=[("x", "INT")],
+                                         if_not_exists=True),
+        ):
+            with pytest.raises(StorageError, match="read-only view"):
+                write()
+        assert catalog.table("Live").rows() == [("q1", "pending")]
+
+    def test_snapshots_leave_views_alone(self, catalog: Database, live):
+        assert [table.name for table in catalog.tables()] == ["Flights"]
+        snapshot = catalog.snapshot()
+        assert set(snapshot) == {"flights"}
+        live.append(("q2", "answered"))
+        catalog.restore(snapshot)
+        assert len(catalog.table("Live")) == 2
+
+    def test_a_view_cannot_shadow_a_table(self, catalog: Database):
+        with pytest.raises(DuplicateTableError):
+            catalog.create_view(make_schema("flights", [("x", "INT")]), list)
