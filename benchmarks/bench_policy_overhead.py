@@ -1,104 +1,18 @@
-"""E11 — the unification-based matcher vs. the exhaustive baseline evaluator.
+"""Policy overhead — bounded candidate enumeration vs. the first-match default.
 
-The baseline implements the declarative semantics directly (enumerate subsets
-of the pool x valuations); the matcher is the coordination algorithm the demo
-paper relies on.  Expected shape: for small pools both succeed and the matcher
-is already faster; as the pool grows the baseline's cost explodes
-combinatorially while the matcher stays near-flat.  This is the reason the
-companion paper's matching algorithm exists, and it is the comparison this
-benchmark regenerates.
+Run with ``PYTHONPATH=src python -m pytest -q benchmarks/bench_policy_overhead.py``;
+``BENCH_MATCHING_JSON=FILE`` also dumps the measurements (experiment key
+``bench_matching_policies``) for the CI trajectory artifact.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import random
 import time
 
-import pytest
-
-from repro.core.baseline import ExhaustiveEvaluator
 from repro.core.config import SystemConfig
-from repro.core.matching import Matcher, ProviderIndex
 from repro.core.system import YoutopiaSystem
-from repro.workloads import WorkloadConfig, WorkloadGenerator, build_loaded_system
-
-
-def build_pool(num_pairs: int, seed: int = 0):
-    """A pool of pairwise requests, with the *last* arrival left out as trigger."""
-    _system, service, _friends = build_loaded_system(
-        num_flights=60, num_hotels=20, num_users=4, seed=seed
-    )
-    generator = WorkloadGenerator(service, WorkloadConfig(seed=seed))
-    items = generator.pair_items(num_pairs)
-    engine = service.system.engine
-    queries = [item.query for item in items]
-    trigger = queries[-1]
-    pool = {query.query_id: query for query in queries}
-    index = ProviderIndex()
-    for query in pool.values():
-        index.add_query(query)
-    return engine, trigger, pool, index
-
-
-@pytest.mark.parametrize("num_pairs", [1, 2, 4, 8, 16])
-def test_unification_matcher(benchmark, report, num_pairs):
-    engine, trigger, pool, index = build_pool(num_pairs)
-    matcher = Matcher(engine, rng=random.Random(0))
-
-    group = benchmark(lambda: matcher.find_group(trigger, pool, index))
-    assert group is not None and len(group.queries) == 2
-    report(
-        algorithm="unification_matcher",
-        pool_size=len(pool),
-        structural_nodes=group.statistics.structural_nodes,
-        candidate_providers=group.statistics.candidate_providers,
-    )
-
-
-@pytest.mark.parametrize("num_pairs", [1, 2, 4, 8, 16])
-def test_exhaustive_baseline(benchmark, report, num_pairs):
-    engine, trigger, pool, index = build_pool(num_pairs)
-    del index
-    baseline = ExhaustiveEvaluator(engine, rng=random.Random(0), max_group_size=2)
-
-    group = benchmark(lambda: baseline.find_group(trigger, pool))
-    assert group is not None and len(group.queries) == 2
-    report(
-        algorithm="exhaustive_baseline",
-        pool_size=len(pool),
-        subsets_tried=group.statistics.structural_nodes,
-        groundings_tried=group.statistics.grounding_attempts,
-    )
-
-
-@pytest.mark.parametrize("use_baseline", [False, True], ids=["matcher", "baseline"])
-def test_end_to_end_system_comparison(benchmark, report, use_baseline):
-    """The same 6-pair workload through a full system, switching the algorithm."""
-    from repro.workloads import run_workload
-
-    def setup():
-        system, service, _friends = build_loaded_system(
-            num_flights=60, num_hotels=20, num_users=4, seed=1,
-            use_exhaustive_baseline=use_baseline,
-        )
-        generator = WorkloadGenerator(service, WorkloadConfig(num_pairs=6, seed=1))
-        return (system, generator.generate()), {}
-
-    def run(system, items):
-        result = run_workload(system, items)
-        assert result.all_answered
-        return result
-
-    result = benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
-    report(
-        algorithm="exhaustive_baseline" if use_baseline else "unification_matcher",
-        queries=result.submitted,
-        groups=result.statistics["groups_matched"],
-        grounding_attempts=result.statistics["grounding_attempts"],
-    )
-
 
 # ---------------------------------------------------------------------------
 # Policy overhead — bounded candidate enumeration vs. the first-match default

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.travel.dataset import generate_dataset, install_and_load
+from repro.core.config import SystemConfig
 from repro.core.system import YoutopiaSystem
 from repro.sqlparser import parse_statement
 
@@ -30,7 +31,7 @@ ENTANGLED_SQL = (
 
 @pytest.fixture(scope="module")
 def loaded_system():
-    system = YoutopiaSystem(seed=0)
+    system = YoutopiaSystem(config=SystemConfig(seed=0))
     install_and_load(system, generate_dataset(num_flights=400, num_hotels=100,
                                               num_users=50, seed=0))
     system.database.table("Flights").create_index("by_dest", ["dest"])

@@ -1,8 +1,8 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark corresponds to an experiment id in DESIGN.md / EXPERIMENTS.md
-(E1, E3-E8, E10-E12).  The helpers here build fresh systems and workloads so
-each measured round starts from a clean pending pool.
+Most benchmarks correspond to an experiment id in DESIGN.md / EXPERIMENTS.md
+(E1, E3-E8, E10, E13-E16).  The helpers here build fresh systems and workloads
+so each measured round starts from a clean pending pool.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
+from repro.core.config import SystemConfig  # noqa: E402
 from repro.core.system import YoutopiaSystem  # noqa: E402
 from repro.workloads import (  # noqa: E402
     WorkloadConfig,
@@ -37,7 +38,7 @@ JERRY_SQL = (
 
 def figure1_system(seed: int = 0) -> YoutopiaSystem:
     """The four-flight database of Figure 1(a)."""
-    system = YoutopiaSystem(seed=seed)
+    system = YoutopiaSystem(config=SystemConfig(seed=seed))
     system.execute("CREATE TABLE Flights (fno INT PRIMARY KEY, dest TEXT)")
     system.execute(
         "INSERT INTO Flights VALUES (122, 'Paris'), (123, 'Paris'), (134, 'Paris'), (136, 'Rome')"
@@ -46,10 +47,10 @@ def figure1_system(seed: int = 0) -> YoutopiaSystem:
     return system
 
 
-def pair_workload(num_pairs: int, seed: int = 0, num_unmatchable: int = 0, **system_kwargs):
+def pair_workload(num_pairs: int, seed: int = 0, num_unmatchable: int = 0):
     """A loaded system plus a generated pair workload, ready to submit."""
     system, service, _friends = build_loaded_system(
-        num_flights=120, num_hotels=40, num_users=4, seed=seed, **system_kwargs
+        num_flights=120, num_hotels=40, num_users=4, seed=seed
     )
     generator = WorkloadGenerator(
         service,
@@ -63,9 +64,9 @@ def pair_workload(num_pairs: int, seed: int = 0, num_unmatchable: int = 0, **sys
     return system, generator.generate()
 
 
-def group_workload(num_groups: int, group_size: int, seed: int = 0, **system_kwargs):
+def group_workload(num_groups: int, group_size: int, seed: int = 0):
     system, service, _friends = build_loaded_system(
-        num_flights=120, num_hotels=40, num_users=4, seed=seed, **system_kwargs
+        num_flights=120, num_hotels=40, num_users=4, seed=seed
     )
     generator = WorkloadGenerator(service, WorkloadConfig(seed=seed))
     return system, generator.group_items(num_groups, group_size)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import YoutopiaSystem  # noqa: E402
+from repro import SystemConfig, YoutopiaSystem  # noqa: E402
 from repro.apps.admin import AdminInterface  # noqa: E402
 from repro.apps.travel import generate_dataset, install_and_load  # noqa: E402
 
@@ -38,7 +38,7 @@ ELAINE_SQL = (
 
 
 def main() -> int:
-    system = YoutopiaSystem(seed=3)
+    system = YoutopiaSystem(config=SystemConfig(seed=3))
     install_and_load(system, generate_dataset(num_flights=24, num_hotels=8, seed=3))
     admin = AdminInterface(system)
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import YoutopiaSystem  # noqa: E402
+from repro import SystemConfig, YoutopiaSystem  # noqa: E402
 from repro.apps.travel import (  # noqa: E402
     FriendGraph,
     TravelService,
@@ -29,7 +29,7 @@ from repro.apps.travel import (  # noqa: E402
 
 
 def main() -> int:
-    system = YoutopiaSystem(seed=11)
+    system = YoutopiaSystem(config=SystemConfig(seed=11))
     install_and_load(system, generate_dataset(num_flights=40, num_hotels=20, seed=11))
 
     friends = FriendGraph(["Jerry", "Kramer", "Elaine"])

@@ -15,7 +15,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import YoutopiaSystem  # noqa: E402
+from repro import SystemConfig, YoutopiaSystem  # noqa: E402
 from repro.apps.travel import (  # noqa: E402
     FriendGraph,
     TravelService,
@@ -27,7 +27,7 @@ GROUP = ["Jerry", "Kramer", "Elaine", "George"]
 
 
 def main() -> int:
-    system = YoutopiaSystem(seed=7)
+    system = YoutopiaSystem(config=SystemConfig(seed=7))
     install_and_load(system, generate_dataset(num_flights=48, num_hotels=24, seed=7))
 
     friends = FriendGraph(GROUP)

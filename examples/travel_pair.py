@@ -19,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import YoutopiaSystem  # noqa: E402
+from repro import SystemConfig, YoutopiaSystem  # noqa: E402
 from repro.apps.travel import (  # noqa: E402
     FriendGraph,
     Mailbox,
@@ -30,7 +30,7 @@ from repro.apps.travel import (  # noqa: E402
 
 
 def main() -> int:
-    system = YoutopiaSystem(seed=42)
+    system = YoutopiaSystem(config=SystemConfig(seed=42))
     install_and_load(system, generate_dataset(num_flights=40, num_hotels=20, seed=42))
 
     friends = FriendGraph()

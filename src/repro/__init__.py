@@ -50,13 +50,11 @@ from repro.core import (
     EntangledQueryBuilder,
     EventBus,
     EventType,
-    ExhaustiveEvaluator,
     GridProviderIndex,
     MatchPlanCache,
     MatchWorkerPool,
     MatchedGroup,
     Matcher,
-    ProviderIndex,
     QueryStatus,
     ShardedCoordinator,
     SystemConfig,
@@ -99,7 +97,6 @@ __all__ = [
     "EntangledQueryBuilder",
     "EventBus",
     "EventType",
-    "ExhaustiveEvaluator",
     "GridProviderIndex",
     "InProcessService",
     "IntrospectionService",
@@ -107,7 +104,6 @@ __all__ = [
     "MatchWorkerPool",
     "MatchedGroup",
     "Matcher",
-    "ProviderIndex",
     "QueryEngine",
     "QueryResult",
     "QueryStatus",

@@ -237,13 +237,12 @@ class CommandLine:
                         skipped=matching.get("groups_skipped", 0),
                     )
                 )
-            if matching.get("match_plan"):
+            if "plans_cached" in matching:
                 lines.append(
-                    "match_plan = {plan} (index={index}, plans_cached={cached}, "
+                    "match_plans = cached {cached} (compiled={compiled}, "
                     "pair_ops_hits={pair_hits})".format(
-                        plan=matching.get("match_plan"),
-                        index=matching.get("provider_index"),
-                        cached=matching.get("plans_cached", 0),
+                        cached=matching["plans_cached"],
+                        compiled=matching.get("plans_compiled", 0),
                         pair_hits=matching.get("pair_ops_hits", 0),
                     )
                 )
@@ -333,22 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=16,
         help="max candidate groups a non-first_match policy enumerates per "
         "match attempt",
-    )
-    serve.add_argument(
-        "--match-plan",
-        choices=["compiled", "interpreted"],
-        default="compiled",
-        help="structural matching execution: compiled (precompiled slot-"
-        "indexed match plans, the default) or interpreted (per-attempt term "
-        "interpretation, the differential-testing reference)",
-    )
-    serve.add_argument(
-        "--provider-index",
-        choices=["grid", "single_key"],
-        default="grid",
-        help="provider index backing candidate pruning: grid (multi-attribute "
-        "per-column buckets, the default) or single_key (classic single-"
-        "attribute refinement)",
     )
     serve.add_argument(
         "--pending-memory-limit",
@@ -458,8 +441,6 @@ def build_server(
     standby_of: Optional[str] = None,
     match_policy: str = "first_match",
     policy_candidate_limit: int = 16,
-    match_plan: str = "compiled",
-    provider_index: str = "grid",
     pending_memory_limit: Optional[int] = None,
     cold_store: str = "sqlite",
     eviction_policy: str = "lru",
@@ -523,8 +504,6 @@ def build_server(
         snapshot_interval=snapshot_interval,
         match_policy=match_policy,
         policy_candidate_limit=policy_candidate_limit,
-        match_plan=match_plan,
-        provider_index=provider_index,
         pending_memory_limit=pending_memory_limit,
         cold_store=cold_store,
         eviction_policy=eviction_policy,
@@ -658,8 +637,6 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - interac
             standby_of=args.standby_of,
             match_policy=args.match_policy,
             policy_candidate_limit=args.policy_candidate_limit,
-            match_plan=args.match_plan,
-            provider_index=args.provider_index,
             pending_memory_limit=args.pending_memory_limit,
             cold_store=args.cold_store,
             eviction_policy=args.eviction_policy,

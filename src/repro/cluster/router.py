@@ -820,8 +820,6 @@ class ClusterRouter(AsyncServerBase):
         node_blocks: list[dict[str, Any]] = []
         matching: dict[str, Any] = {}
         match_policies: set[str] = set()
-        match_plans: set[str] = set()
-        provider_indexes: set[str] = set()
         tiering: dict[str, Any] = {"enabled": False}
         tiering_policies: set[str] = set()
         tiering_backends: set[str] = set()
@@ -847,12 +845,8 @@ class ClusterRouter(AsyncServerBase):
                     if policy:
                         match_policies.add(str(policy))
                         block["match_policy"] = policy
-                    if node_matching.get("match_plan"):
-                        match_plans.add(str(node_matching["match_plan"]))
-                    if node_matching.get("provider_index"):
-                        provider_indexes.add(str(node_matching["provider_index"]))
                     for key, value in node_matching.items():
-                        if key in ("policy", "candidate_limit", "match_plan", "provider_index"):
+                        if key in ("policy", "candidate_limit"):
                             continue
                         if isinstance(value, bool) or not isinstance(value, (int, float)):
                             continue
@@ -915,14 +909,6 @@ class ClusterRouter(AsyncServerBase):
             # "mixed" (plus per-node blocks above) when nodes disagree.
             matching["policy"] = (
                 next(iter(match_policies)) if len(match_policies) == 1 else "mixed"
-            )
-        if match_plans:
-            matching["match_plan"] = (
-                next(iter(match_plans)) if len(match_plans) == 1 else "mixed"
-            )
-        if provider_indexes:
-            matching["provider_index"] = (
-                next(iter(provider_indexes)) if len(provider_indexes) == 1 else "mixed"
             )
         if tiering["enabled"]:
             tiering["eviction_policy"] = (

@@ -8,12 +8,14 @@ Public surface (also re-exported from the top-level :mod:`repro` package):
   :func:`~repro.core.compiler.compile_entangled`
 * the IR types in :mod:`repro.core.ir`
 * :class:`~repro.core.coordinator.Coordinator` / :class:`~repro.core.coordinator.QueryStatus`
-* :class:`~repro.core.matching.Matcher` and :class:`~repro.core.baseline.ExhaustiveEvaluator`
+* :class:`~repro.core.matching.Matcher` over the
+  :class:`~repro.core.matchplan.GridProviderIndex` — the one matcher; its
+  test oracles (interpreted matcher, single-key index, exhaustive evaluator)
+  live in ``tests/matching_reference.py``
 """
 
 from repro.core import ir
 from repro.core.answer import AnswerRelationRegistry, AnswerRelationSpec
-from repro.core.baseline import ExhaustiveEvaluator
 from repro.core.compiler import EntangledQueryBuilder, compile_entangled, entangled_to_sql, var
 from repro.core.config import SystemConfig
 from repro.core.coordinator import CoordinationRequest, Coordinator, QueryStatus
@@ -25,7 +27,7 @@ from repro.core.durability import (
 )
 from repro.core.events import Event, EventBus, EventType
 from repro.core.executor import ExecutionOutcome, JointExecutor
-from repro.core.matching import MatchedGroup, Matcher, ProviderIndex, Unifier
+from repro.core.matching import MatchedGroup, Matcher, Unifier
 from repro.core.matchplan import GridProviderIndex, MatchPlanCache, QueryPlan
 from repro.core.safety import AnalysisReport, analyze, check
 from repro.core.session import YoutopiaSession
@@ -54,14 +56,12 @@ __all__ = [
     "EventBus",
     "EventType",
     "ExecutionOutcome",
-    "ExhaustiveEvaluator",
     "GridProviderIndex",
     "JointExecutor",
     "MatchPlanCache",
     "MatchWorkerPool",
     "MatchedGroup",
     "Matcher",
-    "ProviderIndex",
     "QueryPlan",
     "QueryShard",
     "QueryStatus",

@@ -4,9 +4,12 @@
 :class:`~repro.core.system.YoutopiaSystem` and
 :class:`~repro.core.coordinator.Coordinator`: one frozen dataclass carries
 every tuning knob, can be passed around (benchmark sweeps, the service layer,
-future network servers), compared, and overridden immutably.  The
-coordinator requires one; ``YoutopiaSystem`` still accepts its legacy keyword
-arguments and folds them into a ``SystemConfig`` internally.
+future network servers), compared, and overridden immutably.  Both
+``YoutopiaSystem`` and the coordinator take one (``None`` on the system means
+``SystemConfig()``).  There is no knob for *how* matching runs: compiled
+match plans over the grid provider index are the only matcher, and the
+relational optimizer always uses an index that exactly covers a plain SQL
+query's equality conjuncts.
 """
 
 from __future__ import annotations
@@ -28,13 +31,6 @@ class SystemConfig:
         a fresh unseeded RNG.
     max_group_size:
         Upper bound on the size of a coordination group the matcher explores.
-    use_exhaustive_baseline:
-        Route matching through the exponential baseline evaluator instead of
-        the unification-based matcher (benchmarking only).
-    use_constant_index:
-        Enable the (relation, constant-position) provider index.
-    enable_index_lookup:
-        Let the relational optimizer use storage indexes for plain SQL.
     auto_retry_on_data_change:
         Re-attempt pending coordinations when base data changes.
     match_workers:
@@ -90,23 +86,6 @@ class SystemConfig:
     policy_cost_attribute:
         Variable name (case-insensitive) the ``min_cost`` policy sums over
         each group's chosen valuations.
-    match_plan:
-        How the structural matching phase executes: ``"compiled"`` (the
-        default) precompiles each query into a slot-indexed match plan
-        (:mod:`repro.core.matchplan`) — interned constants, positional slot
-        arrays and memoized per-pair unification programs — while
-        ``"interpreted"`` keeps the original per-attempt term interpretation.
-        Both modes find identical groups; the interpreted path exists for
-        differential testing and as the semantic reference.
-    provider_index:
-        Which provider index backs candidate pruning: ``"grid"`` (the
-        default) uses the grid-file-style multi-attribute index that
-        intersects per-column ordered buckets over *every* bound column;
-        ``"single_key"`` keeps the classic index that refines on one
-        (relation, constant-position) bucket chain and rescans the relation
-        bucket to restore arrival order.  Candidate order is identical in
-        both.  ``use_constant_index=False`` degrades either index to the
-        naive (relation, arity) scan.
     pending_memory_limit:
         System-wide bound on *fully-materialized* pending queries.  ``None``
         (the default) keeps the classic all-in-memory pool.  With a limit,
@@ -133,9 +112,6 @@ class SystemConfig:
 
     seed: Optional[int] = None
     max_group_size: int = 32
-    use_exhaustive_baseline: bool = False
-    use_constant_index: bool = True
-    enable_index_lookup: bool = True
     auto_retry_on_data_change: bool = False
     match_workers: int = 0
     shard_count: Optional[int] = None
@@ -146,8 +122,6 @@ class SystemConfig:
     match_policy: str = "first_match"
     policy_candidate_limit: int = 16
     policy_cost_attribute: str = "price"
-    match_plan: str = "compiled"
-    provider_index: str = "grid"
     pending_memory_limit: Optional[int] = None
     cold_store: str = "sqlite"
     eviction_policy: str = "lru"
@@ -168,9 +142,6 @@ class SystemConfig:
         return {
             "seed": self.seed,
             "max_group_size": self.max_group_size,
-            "use_exhaustive_baseline": self.use_exhaustive_baseline,
-            "use_constant_index": self.use_constant_index,
-            "enable_index_lookup": self.enable_index_lookup,
             "auto_retry_on_data_change": self.auto_retry_on_data_change,
             "match_workers": self.match_workers,
             "shard_count": self.resolved_shard_count,
@@ -181,8 +152,6 @@ class SystemConfig:
             "match_policy": self.match_policy,
             "policy_candidate_limit": self.policy_candidate_limit,
             "policy_cost_attribute": self.policy_cost_attribute,
-            "match_plan": self.match_plan,
-            "provider_index": self.provider_index,
             "pending_memory_limit": self.pending_memory_limit,
             "cold_store": self.cold_store,
             "eviction_policy": self.eviction_policy,

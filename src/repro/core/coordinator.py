@@ -43,13 +43,12 @@ from typing import (
 
 from repro.core import ir
 from repro.core.answer import AnswerRelationRegistry
-from repro.core.baseline import ExhaustiveEvaluator
 from repro.core.compiler import compile_entangled
 from repro.core.config import SystemConfig
 from repro.core.events import EventBus, EventType
 from repro.core.executor import ExecutionOutcome, JointExecutor
-from repro.core.matching import MatchedGroup, Matcher, build_provider_index
-from repro.core.matchplan import MATCH_PLAN_MODES, MatchPlanCache
+from repro.core.matching import MatchedGroup, Matcher
+from repro.core.matchplan import GridProviderIndex
 from repro.core.policy import (
     FirstMatchPolicy,
     PolicyContext,
@@ -138,26 +137,8 @@ class Coordinator:
         self.statistics = CoordinationStatistics()
         self.rng = rng or random.Random()
 
-        if config.match_plan not in MATCH_PLAN_MODES:
-            known = ", ".join(MATCH_PLAN_MODES)
-            raise EntanglementError(
-                f"unknown match_plan {config.match_plan!r} (known modes: {known})"
-            )
-        if config.use_exhaustive_baseline:
-            self._matcher: Union[Matcher, ExhaustiveEvaluator] = ExhaustiveEvaluator(
-                engine, rng=self.rng, max_group_size=min(config.max_group_size, 5)
-            )
-        else:
-            self._matcher = Matcher(
-                engine,
-                rng=self.rng,
-                max_group_size=config.max_group_size,
-                compile_plans=config.match_plan == "compiled",
-            )
-        # build_provider_index validates config.provider_index as a side effect.
-        self._index = build_provider_index(
-            config.provider_index, use_constant_index=config.use_constant_index
-        )
+        self._matcher = Matcher(engine, rng=self.rng, max_group_size=config.max_group_size)
+        self._index = GridProviderIndex()
 
         # Match-selection policy (validated here so a bad name fails at
         # construction, not on the first match attempt).
@@ -456,15 +437,12 @@ class Coordinator:
     ) -> Optional[MatchedGroup]:
         """Choose one match group for ``trigger`` under the configured policy.
 
-        ``first_match`` (and the exhaustive baseline, which has no enumeration
-        seam) short-circuits to the single-group search — the classic path at
-        the classic cost.  Other policies enumerate up to
+        ``first_match`` short-circuits to the single-group search — the
+        classic path at the classic cost.  Other policies enumerate up to
         ``policy_candidate_limit`` candidate groups and pick deterministically.
         """
         matcher = self._matcher
-        if isinstance(self._policy, FirstMatchPolicy) or not hasattr(
-            matcher, "enumerate_groups"
-        ):
+        if isinstance(self._policy, FirstMatchPolicy):
             group = matcher.find_group(trigger, pool, index)
             if group is not None:
                 self.policy_statistics.record_first_match()
@@ -572,16 +550,9 @@ class Coordinator:
 
     # -- match-plan cache lifecycle ----------------------------------------------------
 
-    @property
-    def _plan_cache(self) -> Optional[MatchPlanCache]:
-        """The matcher's compiled-plan cache (``None`` when interpreted/baseline)."""
-        return getattr(self._matcher, "plan_cache", None)
-
     def _evict_match_plan(self, query_id: str) -> None:
         """Free a departed query's compiled plan (derived state, never journaled)."""
-        cache = self._plan_cache
-        if cache is not None:
-            cache.evict(query_id)
+        self._matcher.plan_cache.evict(query_id)
 
     def invalidate_match_plans(self) -> None:
         """Drop every compiled plan (answer-relation declarations call this).
@@ -590,10 +561,8 @@ class Coordinator:
         is cheap and guarantees no plan outlives the relation metadata it was
         compiled against.
         """
-        cache = self._plan_cache
-        if cache is not None:
-            with self._lock:
-                cache.invalidate_all()
+        with self._lock:
+            self._matcher.plan_cache.invalidate_all()
 
     def _finalize_outcome_locked(self, outcome: ExecutionOutcome) -> ExecutionOutcome:
         """Mark every group member answered and notify observers (lock held)."""
@@ -1100,18 +1069,12 @@ class Coordinator:
             return len(self._index)
 
     def matching_statistics(self) -> dict[str, Any]:
-        """The match-policy stats block plus match-plan / index configuration.
+        """The match-policy stats block plus the plan-cache counters.
 
-        Numeric plan-cache counters merge additively across cluster nodes;
-        the ``match_plan`` / ``provider_index`` strings are reported like the
-        policy name (``"mixed"`` when nodes disagree).
+        The numeric plan-cache counters merge additively across cluster nodes.
         """
         stats = self.policy_statistics.as_dict()
-        stats["match_plan"] = self.config.match_plan
-        stats["provider_index"] = self.config.provider_index
-        cache = self._plan_cache
-        if cache is not None:
-            stats.update(cache.statistics())
+        stats.update(self._matcher.plan_cache.statistics())
         return stats
 
     def tiering_statistics(self) -> dict[str, Any]:

@@ -6,10 +6,11 @@ answered jointly:
 
 1. **Structural phase.**  Every answer-constraint atom of every query in the
    group must be *provided by* a head atom of some query in the group
-   (possibly the same query).  Providers are found through a
-   (relation, arity, constant-position) index over the pool's head atoms and
-   the pairing is checked by unification: constants must agree positionally
-   and variables across queries are merged into equivalence classes.
+   (possibly the same query).  Providers are found through the grid index
+   over the pool's head atoms (:class:`~repro.core.matchplan.GridProviderIndex`)
+   and the pairing is checked by unification: constants must agree
+   positionally and variables across queries are merged into equivalence
+   classes.
 
 2. **Grounding phase.**  Once a structurally consistent group is found, the
    matcher grounds it against the database: for each query it enumerates the
@@ -31,11 +32,10 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Iterator, Mapping, Optional
 
 from repro.core import ir
 from repro.core.matchplan import (
-    CompiledAtom,
     GridProviderIndex,
     MatchPlanCache,
     Provider,
@@ -59,10 +59,8 @@ __all__ = [
     "MatchedGroup",
     "Matcher",
     "Provider",
-    "ProviderIndex",
     "Unifier",
     "VarNode",
-    "build_provider_index",
 ]
 
 
@@ -135,157 +133,6 @@ class Unifier:
             self._trail.append(("value", root_right, _UNBOUND))
             self._value[root_right] = value_left
         return True
-
-    def unify_terms(
-        self, query_left: str, term_left: ir.Term, query_right: str, term_right: ir.Term
-    ) -> bool:
-        """Unify two terms belonging to (possibly different) queries."""
-        left_is_const = isinstance(term_left, ir.Constant)
-        right_is_const = isinstance(term_right, ir.Constant)
-        if left_is_const and right_is_const:
-            return term_left.value == term_right.value
-        if left_is_const:
-            return self.bind((query_right, term_right.name), term_left.value)
-        if right_is_const:
-            return self.bind((query_left, term_left.name), term_right.value)
-        return self.union((query_left, term_left.name), (query_right, term_right.name))
-
-    def unify_atoms(
-        self, query_left: str, atom_left: ir.Atom, query_right: str, atom_right: ir.Atom
-    ) -> bool:
-        if atom_left.relation.lower() != atom_right.relation.lower():
-            return False
-        if atom_left.arity != atom_right.arity:
-            return False
-        for term_left, term_right in zip(atom_left.terms, atom_right.terms):
-            if not self.unify_terms(query_left, term_left, query_right, term_right):
-                return False
-        return True
-
-
-# ---------------------------------------------------------------------------
-# Provider index
-# ---------------------------------------------------------------------------
-# ``Provider`` itself is defined in repro.core.matchplan (the grid index needs
-# it without importing this module) and re-exported here for compatibility.
-
-
-class ProviderIndex:
-    """Index over the head atoms of pending queries.
-
-    ``candidates(atom)`` returns the providers whose head could possibly unify
-    with ``atom``: same relation and arity, and for every constant position of
-    ``atom`` the provider has either the same constant or a variable there.
-    With ``use_constant_index=False`` the per-constant refinement is skipped
-    and only the (relation, arity) bucket is used — this is the "naive" mode
-    the ablation benchmark compares against.
-
-    Buckets are insertion-ordered dicts rather than sets, and ``candidates``
-    returns a list in the (relation, arity) bucket's insertion order — i.e.
-    query arrival order.  The same pool state therefore always produces the
-    same candidate sequence, which makes match selection reproducible across
-    runs (sets iterate in ``PYTHONHASHSEED``-dependent order).
-    """
-
-    def __init__(self, use_constant_index: bool = True) -> None:
-        self.use_constant_index = use_constant_index
-        self._by_relation: dict[tuple[str, int], dict[Provider, None]] = defaultdict(dict)
-        self._by_constant: dict[tuple[str, int, int, Any], dict[Provider, None]] = defaultdict(
-            dict
-        )
-        self._by_variable_position: dict[tuple[str, int, int], dict[Provider, None]] = defaultdict(
-            dict
-        )
-        self._atoms: dict[Provider, ir.Atom] = {}
-
-    # -- maintenance ---------------------------------------------------------------
-
-    def add_query(self, query: ir.EntangledQuery) -> None:
-        for head_index, atom in enumerate(query.heads):
-            provider = Provider(query.query_id, head_index)
-            key = (atom.relation.lower(), atom.arity)
-            self._by_relation[key][provider] = None
-            self._atoms[provider] = atom
-            for position, term in enumerate(atom.terms):
-                if isinstance(term, ir.Constant):
-                    self._by_constant[(*key, position, term.value)][provider] = None
-                else:
-                    self._by_variable_position[(*key, position)][provider] = None
-
-    def remove_query(self, query: ir.EntangledQuery) -> None:
-        for head_index, atom in enumerate(query.heads):
-            provider = Provider(query.query_id, head_index)
-            key = (atom.relation.lower(), atom.arity)
-            self._by_relation[key].pop(provider, None)
-            self._atoms.pop(provider, None)
-            for position, term in enumerate(atom.terms):
-                if isinstance(term, ir.Constant):
-                    self._by_constant[(*key, position, term.value)].pop(provider, None)
-                else:
-                    self._by_variable_position[(*key, position)].pop(provider, None)
-
-    def __len__(self) -> int:
-        return len(self._atoms)
-
-    # -- probing ---------------------------------------------------------------------
-
-    def atom_of(self, provider: Provider) -> ir.Atom:
-        return self._atoms[provider]
-
-    def candidates(self, atom: ir.Atom) -> list[Provider]:
-        key = (atom.relation.lower(), atom.arity)
-        bucket = self._by_relation.get(key)
-        if not bucket:
-            return []
-        if not self.use_constant_index:
-            return list(bucket)
-        allowed: set[Provider] | None = None
-        for position, value in atom.constants():
-            compatible = set(self._by_constant.get((*key, position, value), ()))
-            compatible.update(self._by_variable_position.get((*key, position), ()))
-            allowed = compatible if allowed is None else (allowed & compatible)
-            if not allowed:
-                return []
-        if allowed is None:
-            return list(bucket)
-        return [provider for provider in bucket if provider in allowed]
-
-    def candidates_compiled(self, probe: CompiledAtom) -> list[Provider]:
-        """Probe with a :class:`~repro.core.matchplan.CompiledAtom`.
-
-        Same result (members and order) as :meth:`candidates` on the original
-        atom; the compiled form just skips re-deriving the relation key and
-        constant positions per attempt.
-        """
-        key = probe.key
-        bucket = self._by_relation.get(key)
-        if not bucket:
-            return []
-        if not self.use_constant_index or not probe.const_items:
-            return list(bucket)
-        allowed: set[Provider] | None = None
-        for position, value in probe.const_items:
-            compatible = set(self._by_constant.get((*key, position, value), ()))
-            compatible.update(self._by_variable_position.get((*key, position), ()))
-            allowed = compatible if allowed is None else (allowed & compatible)
-            if not allowed:
-                return []
-        assert allowed is not None
-        return [provider for provider in bucket if provider in allowed]
-
-
-def build_provider_index(
-    kind: str, use_constant_index: bool = True
-) -> Union[ProviderIndex, GridProviderIndex]:
-    """Construct the provider index selected by ``SystemConfig.provider_index``."""
-    if kind == "grid":
-        return GridProviderIndex(use_constant_index=use_constant_index)
-    if kind == "single_key":
-        return ProviderIndex(use_constant_index=use_constant_index)
-    from repro.core.matchplan import PROVIDER_INDEX_KINDS
-
-    known = ", ".join(PROVIDER_INDEX_KINDS)
-    raise EntanglementError(f"unknown provider_index {kind!r} (known kinds: {known})")
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +217,11 @@ def _group_signature(group: MatchedGroup) -> tuple[Any, ...]:
 class Matcher:
     """Implements the two-phase (unification + grounding) matching algorithm.
 
-    With ``compile_plans=True`` (the default) the structural phase runs over
-    precompiled :class:`~repro.core.matchplan.QueryPlan` objects: candidate
-    probes use the precomputed relation key and constant positions, and each
-    (probe atom, provider atom) unification executes a memoized
-    :class:`~repro.core.matchplan.PairOps` program instead of re-interpreting
-    the terms.  ``compile_plans=False`` keeps the original per-attempt
-    interpretation — retained behind ``SystemConfig(match_plan="interpreted")``
-    for differential testing.  Both paths return identical candidate lists,
-    consume the RNG identically and therefore find identical groups.
+    Both phases run over precompiled :class:`~repro.core.matchplan.QueryPlan`
+    objects: candidate probes use the precomputed relation key and constant
+    positions, each (probe atom, provider atom) unification executes a
+    memoized :class:`~repro.core.matchplan.PairOps` program, and grounding
+    iterates the plan's precomputed variable nodes.
     """
 
     def __init__(
@@ -387,16 +230,12 @@ class Matcher:
         rng: Optional[random.Random] = None,
         max_group_size: int = 32,
         max_structural_nodes: int = 200_000,
-        compile_plans: bool = True,
-        plan_cache: Optional[MatchPlanCache] = None,
     ) -> None:
         self.engine = engine
         self.rng = rng or random.Random()
         self.max_group_size = max_group_size
         self.max_structural_nodes = max_structural_nodes
-        self.plan_cache: Optional[MatchPlanCache] = (
-            (plan_cache or MatchPlanCache()) if compile_plans else None
-        )
+        self.plan_cache = MatchPlanCache()
 
     # -- public API --------------------------------------------------------------------
 
@@ -404,7 +243,7 @@ class Matcher:
         self,
         trigger: ir.EntangledQuery,
         pool: Mapping[str, ir.EntangledQuery],
-        index: ProviderIndex,
+        index: GridProviderIndex,
     ) -> Optional[MatchedGroup]:
         """Search for a matchable group containing ``trigger``.
 
@@ -425,7 +264,7 @@ class Matcher:
         self,
         trigger: ir.EntangledQuery,
         pool: Mapping[str, ir.EntangledQuery],
-        index: ProviderIndex,
+        index: GridProviderIndex,
         limit: Optional[int] = None,
     ) -> Iterator[MatchedGroup]:
         """Lazily yield distinct candidate match groups containing ``trigger``.
@@ -475,7 +314,7 @@ class Matcher:
         providers: dict[tuple[str, int], Provider],
         unifier: Unifier,
         pool: Mapping[str, ir.EntangledQuery],
-        index: ProviderIndex,
+        index: GridProviderIndex,
         statistics: MatchStatistics,
         domain_cache: dict[str, list[tuple[Any, ...]]],
     ) -> Iterator[MatchedGroup]:
@@ -495,17 +334,8 @@ class Matcher:
 
         query_id, atom_index = obligations[-1]
         cache = self.plan_cache
-        probe: Optional[CompiledAtom] = None
-        if cache is not None:
-            probe = cache.plan_for(group[query_id]).answer_atoms[atom_index]
-            compiled_lookup = getattr(index, "candidates_compiled", None)
-            if compiled_lookup is not None:
-                candidates = compiled_lookup(probe)
-            else:  # custom index without a compiled probe surface
-                candidates = index.candidates(probe.atom)
-        else:
-            atom = group[query_id].answer_atoms[atom_index]
-            candidates = index.candidates(atom)
+        probe = cache.plan_for(group[query_id]).answer_atoms[atom_index]
+        candidates = index.candidates_compiled(probe)
         statistics.candidate_providers += len(candidates)
 
         in_group = [candidate for candidate in candidates if candidate.query_id in group]
@@ -525,15 +355,8 @@ class Matcher:
 
             mark = unifier.mark()
             statistics.unification_attempts += 1
-            if cache is not None and probe is not None:
-                head = cache.plan_for(provider_query).heads[candidate.head_index]
-                unified = apply_pair(unifier, cache.pair_ops(probe, head))
-            else:
-                head_atom = provider_query.heads[candidate.head_index]
-                unified = unifier.unify_atoms(
-                    query_id, atom, candidate.query_id, head_atom
-                )
-            if not unified:
+            head = cache.plan_for(provider_query).heads[candidate.head_index]
+            if not apply_pair(unifier, cache.pair_ops(probe, head)):
                 unifier.undo_to(mark)
                 continue
 
@@ -571,8 +394,7 @@ class Matcher:
         domain_cache: dict[str, list[tuple[Any, ...]]],
     ) -> Iterator[dict[str, list[dict[str, Any]]]]:
         statistics.grounding_attempts += 1
-        cache = self.plan_cache
-        plans = None if cache is None else [cache.plan_for(query) for query in queries]
+        plans = [self.plan_cache.plan_for(query) for query in queries]
         yield from self._assign_query(
             0, queries, plans, unifier, {}, {}, statistics, domain_cache
         )
@@ -581,7 +403,7 @@ class Matcher:
         self,
         position: int,
         queries: list[ir.EntangledQuery],
-        plans: Optional[list[QueryPlan]],
+        plans: list[QueryPlan],
         unifier: Unifier,
         class_values: dict[VarNode, Any],
         assignments: dict[str, list[dict[str, Any]]],
@@ -597,15 +419,10 @@ class Matcher:
             }
             return
         query = queries[position]
-        plan = plans[position] if plans is not None else None
+        plan = plans[position]
 
         pre_bound: dict[str, Any] = {}
-        var_items: Iterable[tuple[str, VarNode]]
-        if plan is not None:
-            var_items = plan.var_items
-        else:
-            var_items = ((name, (query.query_id, name)) for name in query.variables())
-        for name, node in var_items:
+        for name, node in plan.var_items:
             constant = unifier.value_of(node)
             if constant is not _UNBOUND:
                 pre_bound[name] = constant
@@ -617,12 +434,12 @@ class Matcher:
         valuations = self._enumerate_valuations(query, pre_bound, statistics, domain_cache)
         self.rng.shuffle(valuations)
 
-        node_map = plan.node_map if plan is not None else None
+        node_map = plan.node_map
         for valuation in valuations:
             extended = dict(class_values)
             consistent = True
             for name, value in valuation.items():
-                node = node_map[name] if node_map is not None else (query.query_id, name)
+                node = node_map[name]
                 constant = unifier.value_of(node)
                 if constant is not _UNBOUND and constant != value:
                     consistent = False

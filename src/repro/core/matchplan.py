@@ -1,6 +1,6 @@
 """Compiled match plans and the grid-style multi-attribute provider index.
 
-The interpreted matcher pays a per-attempt tax on every unification: it
+Unifying atoms by interpreting their terms pays a per-attempt tax: it
 re-derives each atom's constant positions, allocates a ``(query_id, name)``
 tuple per variable touched, and dispatches on term types position by
 position.  This module precompiles all of that once per query:
@@ -22,20 +22,19 @@ position.  This module precompiles all of that once per query:
   when their query leaves the pool, rebuilt transparently after WAL recovery
   (the identity check in :meth:`MatchPlanCache.plan_for` notices the
   recompiled query object), and never journaled.
-* :class:`GridProviderIndex` — a grid-file-style replacement for the
-  single-key :class:`~repro.core.matching.ProviderIndex` (see *Using Grid
-  Files for a Relational DBMS*): every column of every relation signature
-  keeps its own ordered buckets, a probe intersects the candidate sets of
-  *all* its bound columns, and the intersection is seeded from the most
-  selective column instead of scanning the whole (relation, arity) bucket.
+* :class:`GridProviderIndex` — the grid-file-style provider index over the
+  pool's head atoms (see *Using Grid Files for a Relational DBMS*): every
+  column of every relation signature keeps its own ordered buckets, a probe
+  intersects the candidate sets of *all* its bound columns, and the
+  intersection is seeded from the most selective column instead of scanning
+  the whole (relation, arity) bucket.
 
 Determinism contract: for any pool state, :meth:`GridProviderIndex.candidates`
-returns exactly the same provider list — same members, same order — as
-``ProviderIndex.candidates``: providers in query arrival order.  The matcher's
-randomised exploration consumes its RNG identically under every
-``match_plan`` × ``provider_index`` combination, which is what the
-differential fuzz harness (``tests/integration/test_sharded_fuzz.py``)
-asserts.
+returns the compatible providers in query arrival order.  The differential
+fuzz harness (``tests/integration/test_sharded_fuzz.py``) holds this module
+to the interpreted matcher and single-key index of
+``tests/matching_reference.py``: both return the same candidate lists and
+consume the match RNG identically, so they commit byte-identical answers.
 
 Concurrency: plan compilation, execution and eviction are all performed while
 the coordinator holds the locks that already serialise matching (the inline
@@ -55,11 +54,6 @@ from repro.core import ir
 # A variable is identified globally by (query_id, variable_name) — the same
 # node representation repro.core.matching.Unifier uses.
 VarNode = tuple[str, str]
-
-#: Valid values of ``SystemConfig.match_plan``.
-MATCH_PLAN_MODES = ("compiled", "interpreted")
-#: Valid values of ``SystemConfig.provider_index``.
-PROVIDER_INDEX_KINDS = ("grid", "single_key")
 
 
 @dataclass(frozen=True)
@@ -133,10 +127,10 @@ class PairOps:
     ``compatible`` folds relation/arity agreement and every constant/constant
     comparison; ``binds`` are (variable node, constant) bindings and
     ``unions`` are (node, node) class merges.  Executing the program against a
-    :class:`~repro.core.matching.Unifier` is equivalent to
-    ``Unifier.unify_atoms`` on the original atoms — unification is a
-    conjunction of equality constraints, so applying binds before unions
-    cannot change satisfiability.
+    :class:`~repro.core.matching.Unifier` is equivalent to unifying the
+    original atoms term by term — unification is a conjunction of equality
+    constraints, so applying binds before unions cannot change
+    satisfiability.
     """
 
     __slots__ = ("compatible", "binds", "unions")
@@ -290,11 +284,11 @@ class MatchPlanCache:
 class GridProviderIndex:
     """Multi-attribute provider index with per-column ordered buckets.
 
-    Where ``ProviderIndex`` refines its (relation, arity) bucket by building a
-    fresh ``set`` per bound column and then rescanning the *whole* relation
-    bucket to restore arrival order, this index keeps, for every column of
-    every relation signature, an ordered bucket per constant value plus one
-    for the providers with a variable there.  Every bucket maps
+    Rather than refining a (relation, arity) bucket with a fresh ``set`` per
+    bound column and rescanning the *whole* relation bucket to restore
+    arrival order, this index keeps, for every column of every relation
+    signature, an ordered bucket per constant value plus one for the
+    providers with a variable there.  Every bucket maps
     ``Provider → seq`` where ``seq`` is the provider's global insertion
     number, so any subset can be replayed in arrival order without touching
     the relation bucket at all.
@@ -305,15 +299,9 @@ class GridProviderIndex:
     arrival order over just the survivors — and the remaining bound columns
     filter by dict membership.  Cost is proportional to the most selective
     column, not to the relation bucket.
-
-    The returned candidate list is identical (members *and* order) to what
-    ``ProviderIndex.candidates`` returns for the same pool state; the
-    differential fuzz harness depends on this.  ``use_constant_index=False``
-    degrades to the naive (relation, arity) scan, like the single-key index.
     """
 
-    def __init__(self, use_constant_index: bool = True) -> None:
-        self.use_constant_index = use_constant_index
+    def __init__(self) -> None:
         self._seq = count()
         self._by_relation: dict[tuple[str, int], dict[Provider, int]] = {}
         self._const_columns: dict[tuple[str, int, int, Any], dict[Provider, int]] = {}
@@ -371,7 +359,7 @@ class GridProviderIndex:
         bucket = self._by_relation.get(key)
         if not bucket:
             return []
-        if not self.use_constant_index or not const_items:
+        if not const_items:
             return list(bucket)
 
         # One (constant bucket, variable bucket) pair per bound column; an

@@ -7,7 +7,7 @@ pending pool by *relation signature*: two entangled queries can only ever
 coordinate if an answer-constraint atom of one unifies with a head atom of the
 other, which requires the **same answer relation**.  Queries whose entangled
 atoms all hash to the same shard therefore form an independent matching
-universe with its own :class:`~repro.core.matching.ProviderIndex`, lock and
+universe with its own :class:`~repro.core.matchplan.GridProviderIndex`, lock and
 pending set.
 
 Matching becomes *event-driven*: ``submit`` / ``submit_many`` only register
@@ -62,7 +62,7 @@ from repro.core import ir
 from repro.core.coordinator import CoordinationRequest, Coordinator, QueryStatus
 from repro.core.events import EventType
 from repro.core.executor import ExecutionOutcome
-from repro.core.matching import MatchedGroup, ProviderIndex, Provider, build_provider_index
+from repro.core.matching import MatchedGroup, Provider
 from repro.core.matchplan import CompiledAtom, GridProviderIndex
 from repro.errors import (
     EntanglementError,
@@ -153,20 +153,13 @@ class QueryShard:
     are guarded by its condition variable instead.
     """
 
-    def __init__(
-        self,
-        shard_id: int,
-        use_constant_index: bool = True,
-        provider_index: str = "single_key",
-    ) -> None:
+    def __init__(self, shard_id: int) -> None:
         self.shard_id = shard_id
         self.lock = threading.RLock()
         # A plain dict, or a TieredPool when the coordinator has a
         # pending_memory_limit — same mapping surface either way.
         self.pool: MutableMapping[str, ir.EntangledQuery] = {}
-        self.index: Union[ProviderIndex, GridProviderIndex] = build_provider_index(
-            provider_index, use_constant_index=use_constant_index
-        )
+        self.index = GridProviderIndex()
         self.dirty = False
         self.dirty_since = 0.0
         # Scheduling state, owned by the worker pool.
@@ -210,31 +203,14 @@ class _CompositeIndex:
     deterministic), so the global pass is as reproducible as the local one.
     """
 
-    def __init__(self, indexes: Sequence[Union[ProviderIndex, GridProviderIndex]]) -> None:
+    def __init__(self, indexes: Sequence[GridProviderIndex]) -> None:
         self._indexes = indexes
-
-    def candidates(self, atom: ir.Atom) -> list[Provider]:
-        found: list[Provider] = []
-        for index in self._indexes:
-            found.extend(index.candidates(atom))
-        return found
 
     def candidates_compiled(self, probe: CompiledAtom) -> list[Provider]:
         found: list[Provider] = []
         for index in self._indexes:
             found.extend(index.candidates_compiled(probe))
         return found
-
-    def atom_of(self, provider: Provider) -> ir.Atom:
-        for index in self._indexes:
-            try:
-                return index.atom_of(provider)
-            except KeyError:
-                continue
-        raise KeyError(provider)
-
-    def __len__(self) -> int:
-        return sum(len(index) for index in self._indexes)
 
 
 # ---------------------------------------------------------------------------
@@ -439,21 +415,10 @@ class ShardedCoordinator(Coordinator):
         if self.config.match_workers < 1:
             raise ValueError("ShardedCoordinator requires config.match_workers >= 1")
         self._shard_count = self.config.resolved_shard_count
-        self._shards = [
-            QueryShard(
-                i,
-                use_constant_index=self.config.use_constant_index,
-                provider_index=self.config.provider_index,
-            )
-            for i in range(self._shard_count)
-        ]
+        self._shards = [QueryShard(i) for i in range(self._shard_count)]
         # Cross-shard queries live here; ordered last so the global pass can
         # take every lock in ascending shard_id order.
-        self._global_shard = QueryShard(
-            self._shard_count,
-            use_constant_index=self.config.use_constant_index,
-            provider_index=self.config.provider_index,
-        )
+        self._global_shard = QueryShard(self._shard_count)
         self._all_shards = self._shards + [self._global_shard]
         if self._tiering is not None:
             # Re-budget the hot set over the pools that will actually hold

@@ -37,37 +37,20 @@ from repro.storage.database import Database
 class YoutopiaSystem:
     """A complete in-process Youtopia instance.
 
-    Prefer constructing it from a :class:`~repro.core.config.SystemConfig`
-    (``YoutopiaSystem(config=SystemConfig(seed=0))``); the individual keyword
-    arguments are retained for backwards compatibility and are folded into a
-    config internally.  Application code should usually talk to the instance
+    Every knob lives in a :class:`~repro.core.config.SystemConfig`
+    (``YoutopiaSystem(config=SystemConfig(seed=0))``); ``None`` means
+    ``SystemConfig()``.  Application code should usually talk to the instance
     through the transport-agnostic service layer — see :meth:`service` and
     :mod:`repro.service`.
     """
 
     def __init__(
-        self,
-        database: Optional[Database] = None,
-        seed: Optional[int] = None,
-        max_group_size: int = 32,
-        use_exhaustive_baseline: bool = False,
-        use_constant_index: bool = True,
-        enable_index_lookup: bool = True,
-        auto_retry_on_data_change: bool = False,
-        config: Optional[SystemConfig] = None,
+        self, database: Optional[Database] = None, *, config: Optional[SystemConfig] = None
     ) -> None:
-        if config is None:
-            config = SystemConfig(
-                seed=seed,
-                max_group_size=max_group_size,
-                use_exhaustive_baseline=use_exhaustive_baseline,
-                use_constant_index=use_constant_index,
-                enable_index_lookup=enable_index_lookup,
-                auto_retry_on_data_change=auto_retry_on_data_change,
-            )
+        config = config or SystemConfig()
         self.config = config
         self.database = database or Database()
-        self.engine = QueryEngine(self.database, enable_index_lookup=config.enable_index_lookup)
+        self.engine = QueryEngine(self.database)
         self.transactions = TransactionManager(self.database)
         self.answer_relations = AnswerRelationRegistry(self.database)
         self.events = EventBus()

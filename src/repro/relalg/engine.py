@@ -52,9 +52,8 @@ class QueryResult:
 class QueryEngine:
     """Plans and executes statements against a :class:`Database`."""
 
-    def __init__(self, database: Database, enable_index_lookup: bool = True) -> None:
+    def __init__(self, database: Database) -> None:
         self.database = database
-        self.enable_index_lookup = enable_index_lookup
         self._evaluator = ExpressionEvaluator(subquery_callback=self._run_subquery)
 
     @property
@@ -102,9 +101,7 @@ class QueryEngine:
             statement = parse_statement(statement)  # type: ignore[assignment]
         if not isinstance(statement, ast.Select):
             raise PlanError("EXPLAIN is only supported for plain SELECT statements")
-        plan = optimize(
-            build_plan(statement, self.database), self.database, self.enable_index_lookup
-        )
+        plan = optimize(build_plan(statement, self.database), self.database)
         return plan.explain()
 
     # -- SELECT ----------------------------------------------------------------------
@@ -112,9 +109,7 @@ class QueryEngine:
     def _execute_select(
         self, select: ast.Select, outer_env: Optional[RowEnv] = None
     ) -> QueryResult:
-        plan = optimize(
-            build_plan(select, self.database), self.database, self.enable_index_lookup
-        )
+        plan = optimize(build_plan(select, self.database), self.database)
         columns = output_columns(select, self.database)
         context = PlanContext(self.database, self._evaluator, outer_env)
         rows: list[tuple[Any, ...]] = []
@@ -182,7 +177,7 @@ class QueryEngine:
         without one); the other conjuncts are evaluated on the probed rows only.
         """
         probe: dict[str, Any] = {}
-        if where is not None and self.enable_index_lookup:
+        if where is not None:
             equality, residual = split_equalities(
                 where, self.database.schema(table_name), table_name
             )

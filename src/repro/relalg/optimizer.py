@@ -12,8 +12,9 @@ Three rewrites, applied bottom-up until a fixpoint:
    predicate kept as a filter.
 
 These are exactly the rewrites the coordination component benefits from when
-grounding entangled queries against the flight/hotel tables, and they are what
-the ablation benchmark (E12) toggles.
+grounding entangled queries against the flight/hotel tables.  All three always
+apply; a predicate written as ``(p) OR FALSE`` has no top-level equality
+conjunct, which is how tests get a scanning plan to compare against.
 """
 
 from __future__ import annotations
@@ -190,11 +191,11 @@ def _try_index_lookup(
     return planops.FilterNode(lookup, residual_predicate)
 
 
-def optimize(node: planops.PlanNode, database: Database, enable_index_lookup: bool = True) -> planops.PlanNode:
+def optimize(node: planops.PlanNode, database: Database) -> planops.PlanNode:
     """Apply the rewrite rules bottom-up."""
     # Recurse into children first.
     if isinstance(node, planops.FilterNode):
-        child = optimize(node.child, database, enable_index_lookup)
+        child = optimize(node.child, database)
         predicate = fold_constants(node.predicate)
         if isinstance(predicate, ast.Literal):
             if predicate.value:
@@ -206,28 +207,27 @@ def optimize(node: planops.PlanNode, database: Database, enable_index_lookup: bo
         if isinstance(child, planops.JoinNode):
             pushed = _push_filter_into_join(rewritten)
             if not isinstance(pushed, planops.FilterNode) or pushed.child is not child:
-                return optimize(pushed, database, enable_index_lookup)
+                return optimize(pushed, database)
             rewritten = pushed
-        if enable_index_lookup:
-            as_lookup = _try_index_lookup(rewritten, database)
-            if as_lookup is not None:
-                return as_lookup
+        as_lookup = _try_index_lookup(rewritten, database)
+        if as_lookup is not None:
+            return as_lookup
         return rewritten
 
     if isinstance(node, planops.JoinNode):
         return replace(
             node,
-            left=optimize(node.left, database, enable_index_lookup),
-            right=optimize(node.right, database, enable_index_lookup),
+            left=optimize(node.left, database),
+            right=optimize(node.right, database),
         )
     if isinstance(node, planops.ProjectNode):
-        return replace(node, child=optimize(node.child, database, enable_index_lookup))
+        return replace(node, child=optimize(node.child, database))
     if isinstance(node, planops.AggregateNode):
-        return replace(node, child=optimize(node.child, database, enable_index_lookup))
+        return replace(node, child=optimize(node.child, database))
     if isinstance(node, planops.SortNode):
-        return replace(node, child=optimize(node.child, database, enable_index_lookup))
+        return replace(node, child=optimize(node.child, database))
     if isinstance(node, planops.LimitNode):
-        return replace(node, child=optimize(node.child, database, enable_index_lookup))
+        return replace(node, child=optimize(node.child, database))
     if isinstance(node, planops.DistinctNode):
-        return replace(node, child=optimize(node.child, database, enable_index_lookup))
+        return replace(node, child=optimize(node.child, database))
     return node

@@ -20,6 +20,7 @@ from repro.apps.travel.models import TripRequest
 from repro.apps.travel.service import TravelService
 from repro.apps.travel.social import FriendGraph
 from repro.core import ir
+from repro.core.config import SystemConfig
 from repro.core.coordinator import QueryStatus
 from repro.core.system import YoutopiaSystem
 
@@ -68,10 +69,14 @@ def build_loaded_system(
     num_hotels: int = 60,
     num_users: int = 512,
     seed: int = 0,
-    **system_kwargs,
+    config: Optional[SystemConfig] = None,
 ) -> tuple[YoutopiaSystem, TravelService, FriendGraph]:
-    """A Youtopia instance with the travel schema, dataset and service installed."""
-    system = YoutopiaSystem(seed=seed, **system_kwargs)
+    """A Youtopia instance with the travel schema, dataset and service installed.
+
+    ``seed`` drives the dataset and, without an explicit ``config``, the
+    system's ``CHOOSE`` RNG.
+    """
+    system = YoutopiaSystem(config=config or SystemConfig(seed=seed))
     dataset = generate_dataset(
         num_flights=num_flights, num_hotels=num_hotels, num_users=0, seed=seed
     )

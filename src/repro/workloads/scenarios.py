@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.apps.travel.service import TravelService
+from repro.core.config import SystemConfig
 from repro.core.coordinator import QueryStatus
 from repro.core.system import YoutopiaSystem
 from repro.workloads.generator import (
@@ -60,8 +61,10 @@ def _run(name: str, items, system, service) -> ScenarioOutcome:
     )
 
 
-def _fresh(seed: int, **system_kwargs) -> tuple[YoutopiaSystem, TravelService, WorkloadGenerator]:
-    system, service, _friends = build_loaded_system(seed=seed, **system_kwargs)
+def _fresh(
+    seed: int, config: Optional[SystemConfig]
+) -> tuple[YoutopiaSystem, TravelService, WorkloadGenerator]:
+    system, service, _friends = build_loaded_system(seed=seed, config=config)
     generator = WorkloadGenerator(service, WorkloadConfig(seed=seed))
     return system, service, generator
 
@@ -71,9 +74,9 @@ def _fresh(seed: int, **system_kwargs) -> tuple[YoutopiaSystem, TravelService, W
 # ---------------------------------------------------------------------------
 
 
-def pair_flight(seed: int = 0, **system_kwargs) -> ScenarioOutcome:
+def pair_flight(seed: int = 0, config: Optional[SystemConfig] = None) -> ScenarioOutcome:
     """Two friends coordinate a flight to the same destination (E3)."""
-    system, service, generator = _fresh(seed, **system_kwargs)
+    system, service, generator = _fresh(seed, config)
     items = generator.pair_items(1, book_hotel=False)
     return _run("pair_flight", items, system, service)
 
@@ -83,9 +86,9 @@ def pair_flight(seed: int = 0, **system_kwargs) -> ScenarioOutcome:
 # ---------------------------------------------------------------------------
 
 
-def pair_flight_hotel(seed: int = 0, **system_kwargs) -> ScenarioOutcome:
+def pair_flight_hotel(seed: int = 0, config: Optional[SystemConfig] = None) -> ScenarioOutcome:
     """Two friends coordinate flight *and* hotel in single entangled queries (E4)."""
-    system, service, generator = _fresh(seed, **system_kwargs)
+    system, service, generator = _fresh(seed, config)
     items = generator.pair_items(1, book_hotel=True)
     return _run("pair_flight_hotel", items, system, service)
 
@@ -95,9 +98,11 @@ def pair_flight_hotel(seed: int = 0, **system_kwargs) -> ScenarioOutcome:
 # ---------------------------------------------------------------------------
 
 
-def many_pairs(num_pairs: int = 16, seed: int = 0, **system_kwargs) -> ScenarioOutcome:
+def many_pairs(
+    num_pairs: int = 16, seed: int = 0, config: Optional[SystemConfig] = None
+) -> ScenarioOutcome:
     """Many independent pairs coordinating concurrently (E5)."""
-    system, service, generator = _fresh(seed, **system_kwargs)
+    system, service, generator = _fresh(seed, config)
     items = generator.pair_items(num_pairs, book_hotel=False)
     generator.rng.shuffle(items)
     return _run(f"many_pairs[{num_pairs}]", items, system, service)
@@ -108,16 +113,20 @@ def many_pairs(num_pairs: int = 16, seed: int = 0, **system_kwargs) -> ScenarioO
 # ---------------------------------------------------------------------------
 
 
-def group_flight(group_size: int = 4, seed: int = 0, **system_kwargs) -> ScenarioOutcome:
+def group_flight(
+    group_size: int = 4, seed: int = 0, config: Optional[SystemConfig] = None
+) -> ScenarioOutcome:
     """A group of friends coordinates on one flight (E6; the demo uses 4)."""
-    system, service, generator = _fresh(seed, **system_kwargs)
+    system, service, generator = _fresh(seed, config)
     items = generator.group_items(1, group_size, book_hotel=False)
     return _run(f"group_flight[{group_size}]", items, system, service)
 
 
-def group_flight_hotel(group_size: int = 4, seed: int = 0, **system_kwargs) -> ScenarioOutcome:
+def group_flight_hotel(
+    group_size: int = 4, seed: int = 0, config: Optional[SystemConfig] = None
+) -> ScenarioOutcome:
     """A group coordinates on both the flight and the hotel (E7)."""
-    system, service, generator = _fresh(seed, **system_kwargs)
+    system, service, generator = _fresh(seed, config)
     items = generator.group_items(1, group_size, book_hotel=True)
     return _run(f"group_flight_hotel[{group_size}]", items, system, service)
 
@@ -127,9 +136,11 @@ def group_flight_hotel(group_size: int = 4, seed: int = 0, **system_kwargs) -> S
 # ---------------------------------------------------------------------------
 
 
-def adhoc_chain(length: int = 3, seed: int = 0, **system_kwargs) -> ScenarioOutcome:
+def adhoc_chain(
+    length: int = 3, seed: int = 0, config: Optional[SystemConfig] = None
+) -> ScenarioOutcome:
     """A chain of overlapping pairwise constraints (E8, the Jerry/Kramer/Elaine case)."""
-    system, service, generator = _fresh(seed, **system_kwargs)
+    system, service, generator = _fresh(seed, config)
     items = generator.adhoc_chain_items(length)
     return _run(f"adhoc_chain[{length}]", items, system, service)
 
@@ -145,10 +156,10 @@ def loaded_system(
     group_size: int = 0,
     num_groups: int = 0,
     seed: int = 0,
-    **system_kwargs,
+    config: Optional[SystemConfig] = None,
 ) -> ScenarioOutcome:
     """A loaded system with many entangled queries coordinating simultaneously (E10)."""
-    system, service, _friends = build_loaded_system(seed=seed, **system_kwargs)
+    system, service, _friends = build_loaded_system(seed=seed, config=config)
     config = WorkloadConfig(
         num_pairs=num_pairs,
         num_groups=num_groups,

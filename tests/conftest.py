@@ -16,6 +16,7 @@ if str(_TESTS) not in sys.path:
 from repro.apps.travel.dataset import TravelDataset, generate_dataset, install_and_load
 from repro.apps.travel.service import TravelService
 from repro.apps.travel.social import FriendGraph, generate_friend_graph
+from repro.core.config import SystemConfig
 from repro.core.system import YoutopiaSystem
 from repro.relalg.engine import QueryEngine
 from repro.storage.database import Database
@@ -36,7 +37,7 @@ def engine(database: Database) -> QueryEngine:
 @pytest.fixture
 def system() -> YoutopiaSystem:
     """A fresh Youtopia instance with a fixed seed (deterministic CHOOSE)."""
-    return YoutopiaSystem(seed=0)
+    return YoutopiaSystem(config=SystemConfig(seed=0))
 
 
 @pytest.fixture
@@ -85,7 +86,7 @@ def travel_dataset() -> TravelDataset:
 @pytest.fixture
 def travel_system(travel_dataset: TravelDataset) -> YoutopiaSystem:
     """A system with the travel schema and a small synthetic dataset loaded."""
-    system = YoutopiaSystem(seed=1)
+    system = YoutopiaSystem(config=SystemConfig(seed=1))
     install_and_load(system, travel_dataset)
     return system
 

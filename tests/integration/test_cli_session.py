@@ -13,12 +13,13 @@ import pytest
 from repro.apps.admin import AdminInterface
 from repro.apps.cli import CommandLine
 from repro.apps.travel.dataset import generate_dataset, install_and_load
+from repro.core.config import SystemConfig
 from repro.core.system import YoutopiaSystem
 
 
 @pytest.fixture
 def travel_shell() -> CommandLine:
-    system = YoutopiaSystem(seed=5)
+    system = YoutopiaSystem(config=SystemConfig(seed=5))
     install_and_load(system, generate_dataset(num_flights=16, num_hotels=8, num_users=4, seed=5))
     return CommandLine(system)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.coordinator import QueryStatus
+from repro.core.config import SystemConfig
 from repro.core.system import YoutopiaSystem
 
 
@@ -38,7 +39,7 @@ class TestFigure1:
         """Different seeds can pick different Paris flights (122, 123 or 134)."""
         chosen = set()
         for seed in range(8):
-            system = YoutopiaSystem(seed=seed)
+            system = YoutopiaSystem(config=SystemConfig(seed=seed))
             system.execute("CREATE TABLE Flights (fno INT PRIMARY KEY, dest TEXT)")
             system.execute(
                 "INSERT INTO Flights VALUES (122, 'Paris'), (123, 'Paris'), "

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import random
 
+from matching_reference import InterpretedMatcher, ReferenceProviderIndex
+
 from repro.core.config import SystemConfig
 from repro.core.coordinator import QueryStatus
 from repro.core.sharding import ShardedCoordinator, relation_signature, route_signature
@@ -302,17 +304,35 @@ def test_policies_are_partition_equivalent_over_200_random_pools():
 
 
 # ---------------------------------------------------------------------------
-# Match-execution invariance: compiled plans and the grid index are pure
-# speedups — every (match_plan, provider_index) combination answers the same
-# partition AND commits byte-identical tuples, under every selection policy.
+# Match-execution invariance: the production matcher (compiled plans over the
+# grid index) answers the same partition AND commits byte-identical tuples as
+# the interpreted matcher over the single-key index of
+# ``tests/matching_reference.py``, under every selection policy — and so do
+# the two mixed variants, which pin any divergence on one half.
 # ---------------------------------------------------------------------------
 
-MATCH_EXECUTION_COMBOS = (
-    ("compiled", "grid"),
-    ("compiled", "single_key"),
-    ("interpreted", "grid"),
+#: ``(label, interpreted matcher?, single-key reference index?)``
+MATCH_EXECUTION_VARIANTS = (
+    ("production", False, False),
+    ("reference-index", False, True),
+    ("reference-matcher", True, False),
 )
 ALL_POLICIES = ("first_match",) + POLICY_ROTATION
+
+
+def with_matching(
+    system: YoutopiaSystem, interpreted: bool, reference_index: bool
+) -> YoutopiaSystem:
+    """Swap reference parts into a fresh inline system before its first submit."""
+    coordinator = system.coordinator
+    if interpreted:
+        production = coordinator._matcher
+        coordinator._matcher = InterpretedMatcher(
+            production.engine, rng=production.rng, max_group_size=production.max_group_size
+        )
+    if reference_index:
+        coordinator._index = ReferenceProviderIndex()
+    return system
 
 
 def committed_answers(system: YoutopiaSystem) -> dict[str, list[tuple]]:
@@ -320,7 +340,7 @@ def committed_answers(system: YoutopiaSystem) -> dict[str, list[tuple]]:
 
 
 def test_match_plans_and_indexes_are_answer_equivalent_over_200_random_pools():
-    """200 pools: interpreted+single_key reference ≡ the other three combos.
+    """200 pools: interpreted+single_key reference ≡ the three variants.
 
     Candidate enumeration order is insertion order under both indexes and the
     compiled path consumes the match RNG identically, so the committed answer
@@ -335,11 +355,10 @@ def test_match_plans_and_indexes_are_answer_equivalent_over_200_random_pools():
         statements = PoolBuilder(rng).build()
         policy = ALL_POLICIES[seed % len(ALL_POLICIES)]
 
-        reference = build_system(
-            match_workers=0,
-            match_policy=policy,
-            match_plan="interpreted",
-            provider_index="single_key",
+        reference = with_matching(
+            build_system(match_workers=0, match_policy=policy),
+            interpreted=True,
+            reference_index=True,
         )
         try:
             compiled_ir = [reference.compile(sql) for sql in statements]
@@ -351,14 +370,13 @@ def test_match_plans_and_indexes_are_answer_equivalent_over_200_random_pools():
             total_groups += len(reference_groups)
             total_pending += len(reference_pending)
 
-            for match_plan, provider_index in MATCH_EXECUTION_COMBOS:
-                variant = build_system(
-                    match_workers=0,
-                    match_policy=policy,
-                    match_plan=match_plan,
-                    provider_index=provider_index,
+            for name, interpreted, reference_index in MATCH_EXECUTION_VARIANTS:
+                variant = with_matching(
+                    build_system(match_workers=0, match_policy=policy),
+                    interpreted=interpreted,
+                    reference_index=reference_index,
                 )
-                label = f"pool {seed} ({match_plan}/{provider_index}/{policy})"
+                label = f"pool {seed} ({name}/{policy})"
                 try:
                     for query in compiled_ir:
                         variant.submit_entangled(query)
@@ -368,11 +386,10 @@ def test_match_plans_and_indexes_are_answer_equivalent_over_200_random_pools():
                     assert committed_answers(variant) == reference_answers, (
                         f"{label}: committed tuples differ"
                     )
-                    stats = variant.coordinator.matching_statistics()
-                    assert stats["match_plan"] == match_plan
-                    assert stats["provider_index"] == provider_index
-                    if match_plan == "compiled":
-                        total_plans_compiled += stats["plans_compiled"]
+                    plans_compiled = variant.coordinator.matching_statistics()["plans_compiled"]
+                    if interpreted:
+                        assert plans_compiled == 0, f"{label}: interpreted path compiled plans"
+                    total_plans_compiled += plans_compiled
                 finally:
                     variant.close()
         finally:

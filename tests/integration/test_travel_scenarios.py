@@ -16,13 +16,14 @@ from repro.apps.travel.notifications import Mailbox
 from repro.apps.travel.service import TravelService
 from repro.apps.travel.social import FriendGraph
 from repro.core.coordinator import QueryStatus
+from repro.core.config import SystemConfig
 from repro.core.system import YoutopiaSystem
 from repro.workloads import loaded_system, many_pairs
 
 
 @pytest.fixture
 def stack():
-    system = YoutopiaSystem(seed=3)
+    system = YoutopiaSystem(config=SystemConfig(seed=3))
     install_and_load(system, generate_dataset(num_flights=32, num_hotels=16, num_users=0, seed=3))
     friends = FriendGraph()
     for left, right in [

@@ -1,5 +1,7 @@
-"""Property-based oracle test: the optimized matcher agrees with the exhaustive
-baseline evaluator on whether a pool of entangled queries can coordinate.
+"""Property-based oracle test: the production matcher (compiled plans over the
+grid provider index) agrees with the exhaustive reference evaluator of
+``tests/matching_reference.py`` on whether a pool of entangled queries can
+coordinate.
 
 Pools are random collections of pairwise travel-style coordination requests
 (random destinations, partners, and price caps) over a small flight database.
@@ -13,10 +15,10 @@ from __future__ import annotations
 import random
 
 from hypothesis import given, settings, strategies as st
+from matching_reference import ExhaustiveEvaluator
 
-from repro.core.baseline import ExhaustiveEvaluator
 from repro.core.compiler import EntangledQueryBuilder, var
-from repro.core.matching import Matcher, ProviderIndex
+from repro.core.matching import GridProviderIndex, Matcher
 from repro.relalg.engine import QueryEngine, run_script
 from repro.storage.database import Database
 
@@ -94,7 +96,7 @@ def test_matcher_agrees_with_exhaustive_baseline(specs, seed):
     engine = build_engine()
     queries = [build_query(i, *spec) for i, spec in enumerate(specs)]
     pool = {query.query_id: query for query in queries}
-    index = ProviderIndex()
+    index = GridProviderIndex()
     for query in pool.values():
         index.add_query(query)
 
@@ -113,23 +115,3 @@ def test_matcher_agrees_with_exhaustive_baseline(specs, seed):
             assert satisfies_semantics(fast, engine)
         if slow is not None:
             assert satisfies_semantics(slow, engine)
-
-
-@settings(max_examples=40, deadline=None)
-@given(query_specs, st.integers(min_value=0, max_value=10_000))
-def test_constant_index_does_not_change_matchability(specs, seed):
-    """The (relation, constant-position) index is a pure optimization."""
-    engine = build_engine()
-    queries = [build_query(i, *spec) for i, spec in enumerate(specs)]
-    pool = {query.query_id: query for query in queries}
-
-    indexed = ProviderIndex(use_constant_index=True)
-    naive = ProviderIndex(use_constant_index=False)
-    for query in pool.values():
-        indexed.add_query(query)
-        naive.add_query(query)
-
-    for trigger in queries:
-        with_index = Matcher(engine, rng=random.Random(seed)).find_group(trigger, pool, indexed)
-        without_index = Matcher(engine, rng=random.Random(seed)).find_group(trigger, pool, naive)
-        assert (with_index is None) == (without_index is None)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.admin import AdminInterface
+from repro.core.config import SystemConfig
 from repro.core.system import YoutopiaSystem
 
 KRAMER_SQL = (
@@ -26,7 +27,7 @@ ELAINE_SQL = (
 
 @pytest.fixture
 def system() -> YoutopiaSystem:
-    system = YoutopiaSystem(seed=0)
+    system = YoutopiaSystem(config=SystemConfig(seed=0))
     system.execute_script(
         """
         CREATE TABLE Flights (fno INT PRIMARY KEY, dest TEXT);

@@ -5,12 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.cli import CommandLine, format_result_table
+from repro.core.config import SystemConfig
 from repro.core.system import YoutopiaSystem
 
 
 @pytest.fixture
 def shell() -> CommandLine:
-    shell = CommandLine(YoutopiaSystem(seed=0))
+    shell = CommandLine(YoutopiaSystem(config=SystemConfig(seed=0)))
     shell.run_line("CREATE TABLE Flights (fno INT PRIMARY KEY, dest TEXT)")
     shell.run_line("INSERT INTO Flights VALUES (122, 'Paris'), (123, 'Paris'), (136, 'Rome')")
     return shell

@@ -11,6 +11,7 @@ from repro.apps.travel.dataset import (
     install_and_load,
 )
 from repro.apps.travel.social import FriendGraph, generate_friend_graph
+from repro.core.config import SystemConfig
 from repro.core.system import YoutopiaSystem
 from repro.errors import UnknownUserError
 
@@ -48,7 +49,7 @@ class TestDatasetGeneration:
         assert airlines[2] == (134, "Lufthansa")
 
     def test_install_and_load_populates_tables(self):
-        system = YoutopiaSystem(seed=0)
+        system = YoutopiaSystem(config=SystemConfig(seed=0))
         dataset = install_and_load(system, generate_dataset(num_flights=8, num_hotels=4,
                                                             num_users=6, seed=3))
         assert system.query("SELECT COUNT(*) FROM Flights").scalar() == 8
@@ -60,7 +61,7 @@ class TestDatasetGeneration:
         assert dataset.destinations
 
     def test_install_default_dataset_when_none_given(self):
-        system = YoutopiaSystem(seed=0)
+        system = YoutopiaSystem(config=SystemConfig(seed=0))
         dataset = install_and_load(system, seed=11)
         assert system.query("SELECT COUNT(*) FROM Flights").scalar() == len(dataset.flights)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.travel.notifications import Mailbox
+from repro.core.config import SystemConfig
 from repro.core.system import YoutopiaSystem
 
 KRAMER_SQL = (
@@ -21,7 +22,7 @@ JERRY_SQL = (
 
 @pytest.fixture
 def system() -> YoutopiaSystem:
-    system = YoutopiaSystem(seed=0)
+    system = YoutopiaSystem(config=SystemConfig(seed=0))
     system.execute("CREATE TABLE Flights (fno INT PRIMARY KEY, dest TEXT)")
     system.execute("INSERT INTO Flights VALUES (122, 'Paris'), (123, 'Paris')")
     system.declare_answer_relation("Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"])

@@ -9,13 +9,14 @@ from repro.apps.travel.models import TripRequest
 from repro.apps.travel.service import TravelService
 from repro.apps.travel.social import FriendGraph
 from repro.core.coordinator import QueryStatus
+from repro.core.config import SystemConfig
 from repro.core.system import YoutopiaSystem
 from repro.errors import BookingError
 
 
 @pytest.fixture
 def setup():
-    system = YoutopiaSystem(seed=0)
+    system = YoutopiaSystem(config=SystemConfig(seed=0))
     install_and_load(system, generate_dataset(num_flights=24, num_hotels=12, num_users=8, seed=7))
     friends = FriendGraph(["Jerry", "Kramer", "Elaine", "George", "Newman"])
     friends.add_friendship("Jerry", "Kramer")

@@ -1,14 +1,14 @@
-"""Unit tests for the exhaustive baseline evaluator (the correctness oracle)."""
+"""Unit tests for the exhaustive reference evaluator (the correctness oracle)."""
 
 from __future__ import annotations
 
 import random
 
 import pytest
+from matching_reference import ExhaustiveEvaluator
 
-from repro.core.baseline import ExhaustiveEvaluator
 from repro.core.compiler import EntangledQueryBuilder, var
-from repro.core.matching import Matcher, ProviderIndex
+from repro.core.matching import GridProviderIndex, Matcher
 from repro.relalg.engine import QueryEngine, run_script
 from repro.storage.database import Database
 
@@ -97,7 +97,7 @@ class TestExhaustiveEvaluator:
         ]
         for left, right, expected in scenarios:
             pool = as_pool(left, right)
-            index = ProviderIndex()
+            index = GridProviderIndex()
             for query in pool.values():
                 index.add_query(query)
             fast = matcher.find_group(right, pool, index) is not None

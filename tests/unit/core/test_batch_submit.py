@@ -144,12 +144,6 @@ class TestSystemConfig:
         assert system.config is config
         assert system.coordinator.config.max_group_size == 8
 
-    def test_legacy_kwargs_fold_into_config(self):
-        system = YoutopiaSystem(seed=3, max_group_size=16, use_constant_index=False)
-        assert system.config.seed == 3
-        assert system.config.max_group_size == 16
-        assert system.config.use_constant_index is False
-
     def test_replace_returns_modified_copy(self):
         base = SystemConfig(seed=1)
         tweaked = base.replace(max_group_size=4)

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.coordinator import PENDING_TABLE, QueryStatus
 from repro.core.events import EventType
+from repro.core.config import SystemConfig
 from repro.core.system import YoutopiaSystem
 from repro.errors import (
     CoordinationTimeoutError,
@@ -33,7 +34,7 @@ JERRY_SQL = (
 
 @pytest.fixture
 def system() -> YoutopiaSystem:
-    system = YoutopiaSystem(seed=0)
+    system = YoutopiaSystem(config=SystemConfig(seed=0))
     system.execute("CREATE TABLE Flights (fno INT PRIMARY KEY, dest TEXT)")
     system.execute(
         "INSERT INTO Flights VALUES (122, 'Paris'), (123, 'Paris'), (136, 'Rome')"
@@ -248,7 +249,7 @@ class TestWaitAndCancel:
 
 class TestRetry:
     def test_retry_after_data_change(self):
-        system = YoutopiaSystem(seed=0)
+        system = YoutopiaSystem(config=SystemConfig(seed=0))
         system.execute("CREATE TABLE Flights (fno INT PRIMARY KEY, dest TEXT)")
         system.declare_answer_relation("Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"])
         kramer = system.submit_entangled(KRAMER_SQL, owner="Kramer")
@@ -261,7 +262,7 @@ class TestRetry:
         assert kramer.status is QueryStatus.ANSWERED and jerry.status is QueryStatus.ANSWERED
 
     def test_auto_retry_on_data_change(self):
-        system = YoutopiaSystem(seed=0, auto_retry_on_data_change=True)
+        system = YoutopiaSystem(config=SystemConfig(seed=0, auto_retry_on_data_change=True))
         system.execute("CREATE TABLE Flights (fno INT PRIMARY KEY, dest TEXT)")
         system.declare_answer_relation("Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"])
         kramer = system.submit_entangled(KRAMER_SQL, owner="Kramer")

@@ -9,7 +9,7 @@ import pytest
 from repro.core.answer import AnswerRelationRegistry
 from repro.core.compiler import EntangledQueryBuilder, var
 from repro.core.executor import JointExecutor
-from repro.core.matching import Matcher, ProviderIndex
+from repro.core.matching import GridProviderIndex, Matcher
 from repro.core.transactions import TransactionManager
 from repro.errors import ExecutionError
 from repro.relalg.engine import QueryEngine, run_script
@@ -53,7 +53,7 @@ def matched_pair(engine):
 
     kramer, jerry = query("Kramer", "Jerry"), query("Jerry", "Kramer")
     pool = {"Kramer": kramer, "Jerry": jerry}
-    index = ProviderIndex()
+    index = GridProviderIndex()
     for item in pool.values():
         index.add_query(item)
     group = Matcher(engine, rng=random.Random(0)).find_group(jerry, pool, index)
@@ -111,7 +111,7 @@ class TestExecution:
             .build(query_id="newman")
         )
         pool = {"newman": query}
-        index = ProviderIndex()
+        index = GridProviderIndex()
         index.add_query(query)
         group = Matcher(engine, rng=random.Random(0)).find_group(query, pool, index)
         outcome = executor.execute(group)

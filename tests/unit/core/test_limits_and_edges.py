@@ -1,9 +1,8 @@
 """Edge-case tests: search budgets, caps and defensive paths.
 
 These exercise the guard rails that keep the coordination component well
-behaved on adversarial inputs: the matcher's structural search budget, the
-baseline evaluator's valuation cap, and the SQLite mirror's identifier
-validation.
+behaved on adversarial inputs: the matcher's structural search budget and the
+exhaustive reference evaluator's valuation cap.
 """
 
 from __future__ import annotations
@@ -11,10 +10,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from matching_reference import ExhaustiveEvaluator
 
-from repro.core.baseline import ExhaustiveEvaluator
 from repro.core.compiler import EntangledQueryBuilder, var
-from repro.core.matching import Matcher, ProviderIndex
+from repro.core.matching import GridProviderIndex, Matcher
 from repro.relalg.engine import QueryEngine, run_script
 from repro.storage.database import Database
 
@@ -53,7 +52,7 @@ class TestMatcherBudgets:
     def test_structural_node_budget_aborts_search(self, engine):
         queries = clique_queries(6)
         pool = {query.query_id: query for query in queries}
-        index = ProviderIndex()
+        index = GridProviderIndex()
         for query in pool.values():
             index.add_query(query)
         strict = Matcher(engine, rng=random.Random(0), max_structural_nodes=3)
@@ -64,7 +63,7 @@ class TestMatcherBudgets:
     def test_domain_subqueries_are_cached_within_one_match(self, engine):
         queries = clique_queries(4)
         pool = {query.query_id: query for query in queries}
-        index = ProviderIndex()
+        index = GridProviderIndex()
         for query in pool.values():
             index.add_query(query)
         group = Matcher(engine, rng=random.Random(0)).find_group(queries[0], pool, index)

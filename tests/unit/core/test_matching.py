@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import ir
 from repro.core.compiler import EntangledQueryBuilder, var
-from repro.core.matching import Matcher, ProviderIndex
+from repro.core.matching import GridProviderIndex, Matcher
 from repro.relalg.engine import QueryEngine, run_script
 from repro.storage.database import Database
 
@@ -53,8 +53,8 @@ def as_pool(*queries):
     return {query.query_id: query for query in queries}
 
 
-def build_index(pool, use_constant_index=True):
-    index = ProviderIndex(use_constant_index=use_constant_index)
+def build_index(pool):
+    index = GridProviderIndex()
     for query in pool.values():
         index.add_query(query)
     return index
@@ -247,7 +247,7 @@ class TestStatisticsAndDeterminism:
 
         stray = flight_query("Kramer", "Jerry")
         with pytest.raises(EntanglementError):
-            matcher.find_group(stray, {}, ProviderIndex())
+            matcher.find_group(stray, {}, GridProviderIndex())
 
     def test_minimality_answer_relation_equals_group_heads(self, matcher):
         """The produced answer relation contains exactly the group's head tuples."""

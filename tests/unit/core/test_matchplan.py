@@ -3,13 +3,12 @@
 The load-bearing invariants:
 
 * ``GridProviderIndex.candidates`` returns *exactly* the same list — members
-  and order — as the legacy single-key ``ProviderIndex``, on random query
-  corpora, so matcher exploration (and hence RNG consumption) is identical
-  under either index;
+  and order — as the single-key reference index of
+  ``tests/matching_reference.py``, on random query corpora, so matcher
+  exploration (and hence RNG consumption) is identical under either index;
 * compiled pair programs agree with interpreted unification;
 * the plan cache memoizes, evicts, recompiles on object identity change, and
-  counts what it did;
-* the ``SystemConfig`` knobs reject unknown values at construction time.
+  counts what it did, and those counters are what the coordinator reports.
 """
 
 from __future__ import annotations
@@ -18,20 +17,14 @@ import copy
 import random
 
 import pytest
+from matching_reference import ReferenceProviderIndex
 
 from repro.core import ir
 from repro.core.compiler import compile_entangled
 from repro.core.config import SystemConfig
-from repro.core.matching import (
-    GridProviderIndex,
-    MatchPlanCache,
-    ProviderIndex,
-    Unifier,
-    build_provider_index,
-)
+from repro.core.matching import GridProviderIndex, MatchPlanCache, Unifier
 from repro.core.matchplan import apply_pair, compile_pair
 from repro.core.system import YoutopiaSystem
-from repro.errors import EntanglementError
 
 RELATIONS = ("ResA", "ResB", "ResC")
 
@@ -64,11 +57,10 @@ def random_queries(seed: int, count: int) -> list:
 
 
 @pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("use_constant_index", [True, False])
-def test_grid_candidates_match_single_key_exactly(seed, use_constant_index):
+def test_grid_candidates_match_single_key_exactly(seed):
     queries = random_queries(seed, 40)
-    single = ProviderIndex(use_constant_index=use_constant_index)
-    grid = GridProviderIndex(use_constant_index=use_constant_index)
+    single = ReferenceProviderIndex()
+    grid = GridProviderIndex()
     for query in queries:
         single.add_query(query)
         grid.add_query(query)
@@ -129,13 +121,6 @@ def test_grid_removal_leaves_no_empty_buckets():
         grid.remove_query(query)
     assert len(grid) == 0
     assert (grid._by_relation, grid._const_columns, grid._var_columns) == ({}, {}, {})
-
-
-def test_build_provider_index_rejects_unknown_kind():
-    assert isinstance(build_provider_index("grid"), GridProviderIndex)
-    assert isinstance(build_provider_index("single_key"), ProviderIndex)
-    with pytest.raises(EntanglementError):
-        build_provider_index("btree")
 
 
 # ---------------------------------------------------------------------------
@@ -251,29 +236,20 @@ def test_compiled_atom_uids_are_unique_across_plans():
 
 
 # ---------------------------------------------------------------------------
-# SystemConfig knobs
+# The coordinator's matching statistics
 # ---------------------------------------------------------------------------
 
 
-def test_unknown_match_plan_mode_is_rejected():
-    with pytest.raises(EntanglementError):
-        YoutopiaSystem(config=SystemConfig(match_plan="jit"))
-
-
-def test_unknown_provider_index_kind_is_rejected():
-    with pytest.raises(EntanglementError):
-        YoutopiaSystem(config=SystemConfig(provider_index="hash"))
-
-
-def test_config_knobs_surface_in_matching_statistics():
-    system = YoutopiaSystem(
-        config=SystemConfig(match_plan="interpreted", provider_index="single_key")
-    )
+def test_plan_cache_counters_surface_in_matching_statistics():
+    """A fresh system reports the plan-cache counters, and no execution-mode
+    strings: compiled plans over the grid index are the only matcher."""
+    system = YoutopiaSystem(config=SystemConfig(seed=0))
     try:
         stats = system.coordinator.matching_statistics()
-        assert stats["match_plan"] == "interpreted"
-        assert stats["provider_index"] == "single_key"
-        assert "plans_compiled" not in stats  # no cache on the interpreted path
+        assert stats["plans_compiled"] == 0
+        assert stats["plans_cached"] == 0
+        assert "match_plan" not in stats and "provider_index" not in stats
+        assert isinstance(system.coordinator._index, GridProviderIndex)
     finally:
         system.close()
 
@@ -288,7 +264,6 @@ def test_default_config_compiles_plans_end_to_end():
         second = system.submit_entangled(entangled_sql("kramer", "jerry"))
         assert first.answer is not None and second.answer is not None
         stats = system.coordinator.matching_statistics()
-        assert stats["match_plan"] == "compiled"
         assert stats["plans_compiled"] == 2
         # both answered queries left the pool, so their plans were evicted
         assert stats["plans_cached"] == 0

@@ -1,4 +1,4 @@
-"""Unit tests for the provider index over pending queries' head atoms."""
+"""Unit tests for the grid provider index over pending queries' head atoms."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import ir
 from repro.core.compiler import EntangledQueryBuilder, var
-from repro.core.matching import Provider, ProviderIndex
+from repro.core.matchplan import GridProviderIndex, Provider
 
 
 def make_query(query_id: str, traveler: str, relation: str = "Reservation"):
@@ -24,8 +24,8 @@ def make_query(query_id: str, traveler: str, relation: str = "Reservation"):
 
 
 @pytest.fixture
-def index() -> ProviderIndex:
-    index = ProviderIndex()
+def index() -> GridProviderIndex:
+    index = GridProviderIndex()
     index.add_query(make_query("q1", "Jerry"))
     index.add_query(make_query("q2", "Kramer"))
     index.add_query(make_query("q3", "Elaine", relation="HotelReservation"))
@@ -62,16 +62,9 @@ class TestCandidates:
     def test_unknown_constant_yields_nothing(self, index):
         assert index.candidates(atom("Reservation", "George", ir.Variable("fno"))) == []
 
-    def test_naive_mode_ignores_constants(self):
-        naive = ProviderIndex(use_constant_index=False)
-        naive.add_query(make_query("q1", "Jerry"))
-        naive.add_query(make_query("q2", "Kramer"))
-        candidates = naive.candidates(atom("Reservation", "Jerry", ir.Variable("fno")))
-        assert [provider.query_id for provider in candidates] == ["q1", "q2"]
-
     def test_candidates_preserve_insertion_order(self):
         """Same pool state → same candidate order, regardless of hash seeds."""
-        index = ProviderIndex()
+        index = GridProviderIndex()
         ids = [f"q{number}" for number in range(12)]
         for query_id in ids:
             index.add_query(make_query(query_id, "Jerry"))
@@ -92,7 +85,7 @@ class TestMaintenance:
         assert len(index) == 2
 
     def test_multi_head_queries_register_every_head(self):
-        index = ProviderIndex()
+        index = GridProviderIndex()
         query = (
             EntangledQueryBuilder(owner="Jerry")
             .head("Reservation", "Jerry", var("fno"))
@@ -109,7 +102,7 @@ class TestMaintenance:
         assert index.atom_of(Provider("multi", 0)).relation == "Reservation"
 
     def test_constant_heads_still_require_exact_match(self):
-        index = ProviderIndex()
+        index = GridProviderIndex()
         query = EntangledQueryBuilder().head("Ping", "hello", 1).build(query_id="p")
         index.add_query(query)
         assert index.candidates(atom("Ping", "hello", 1)) == [Provider("p", 0)]

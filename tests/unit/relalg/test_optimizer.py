@@ -27,9 +27,18 @@ def engine() -> QueryEngine:
     return engine
 
 
-def plan_for(engine: QueryEngine, sql: str, enable_index_lookup: bool = True) -> planops.PlanNode:
+def plan_for(engine: QueryEngine, sql: str) -> planops.PlanNode:
     select = parse_statement(sql)
-    return optimize(build_plan(select, engine.database), engine.database, enable_index_lookup)
+    return optimize(build_plan(select, engine.database), engine.database)
+
+
+def scan_reference(sql: str) -> str:
+    """``sql`` with its WHERE clause rewritten to ``(p) OR FALSE``: the same
+    truth value, but no top-level equality conjunct, so no index lookup."""
+    head, _, rest = sql.partition(" WHERE ")
+    tails = [rest.find(tail) for tail in (" GROUP BY", " ORDER BY", " LIMIT") if tail in rest]
+    cut = min(tails, default=len(rest))
+    return f"{head} WHERE ({rest[:cut]}) OR FALSE{rest[cut:]}"
 
 
 class TestConjunctHelpers:
@@ -56,9 +65,12 @@ class TestRewrites:
         assert "IndexLookup" in plan.explain()
 
     def test_index_lookup_can_be_disabled(self, engine):
-        plan = plan_for(
-            engine, "SELECT fno FROM Flights WHERE dest = 'Paris'", enable_index_lookup=False
-        )
+        """Writing the predicate as ``(p) OR FALSE`` turns the lookup into a
+        scan + filter; the scan references below rely on it."""
+        assert "IndexLookup" in plan_for(
+            engine, "SELECT fno FROM Flights WHERE dest = 'Paris'"
+        ).explain()
+        plan = plan_for(engine, "SELECT fno FROM Flights WHERE (dest = 'Paris') OR FALSE")
         assert "IndexLookup" not in plan.explain()
         assert "Filter" in plan.explain()
 
@@ -117,10 +129,9 @@ class TestRewritesPreserveResults:
 
     @pytest.mark.parametrize("sql", QUERIES)
     def test_same_rows_with_and_without_index_lookup(self, sql):
-        baseline_engine = QueryEngine(Database(), enable_index_lookup=False)
-        optimized_engine = QueryEngine(baseline_engine.database, enable_index_lookup=True)
+        engine = QueryEngine(Database())
         run_script(
-            baseline_engine,
+            engine,
             """
             CREATE TABLE Flights (fno INT PRIMARY KEY, dest TEXT, price REAL);
             CREATE TABLE Airlines (fno INT PRIMARY KEY, airline TEXT);
@@ -128,4 +139,4 @@ class TestRewritesPreserveResults:
             INSERT INTO Airlines VALUES (122, 'United'), (123, 'United'), (136, 'Alitalia');
             """,
         )
-        assert baseline_engine.query(sql).rows == optimized_engine.query(sql).rows
+        assert engine.query(scan_reference(sql)).rows == engine.query(sql).rows

@@ -64,7 +64,7 @@ class TestProtocols:
         assert fresh.stats().pending == 0
 
     def test_system_service_accessor_round_trips(self):
-        system = YoutopiaSystem(seed=0)
+        system = YoutopiaSystem(config=SystemConfig(seed=0))
         service = system.service()
         assert service.system is system
 
