@@ -66,7 +66,7 @@ def run_policy_workload(policy: str, bypass_policy_layer: bool = False) -> dict:
         if bypass_policy_layer:
             matcher = coordinator._matcher
             coordinator._select_group = (  # type: ignore[method-assign]
-                lambda trigger, pool, index: matcher.find_group(trigger, pool, index)
+                lambda trigger: matcher.find_group(trigger, coordinator._pool, coordinator._index)
             )
         # standing pool: every pair decision scans past these pending queries
         for index in range(POLICY_NOISE_SINGLETONS):

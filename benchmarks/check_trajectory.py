@@ -2,8 +2,8 @@
 
 ``benchmarks/baseline.json`` records the expected value of each tracked
 benchmark metric as a dotted path into the trajectory artifact, e.g.
-``bench_sharded_matching.throughput_ratio`` resolves to
-``trajectory["benchmarks"]["bench_sharded_matching"]["throughput_ratio"]``.
+``cluster_scaling.scaling`` resolves to
+``trajectory["benchmarks"]["cluster_scaling"]["scaling"]``.
 
 Policy (the ISSUE 9 bench-trajectory contract):
 

@@ -52,11 +52,9 @@ from repro.core import (
     EventType,
     GridProviderIndex,
     MatchPlanCache,
-    MatchWorkerPool,
     MatchedGroup,
     Matcher,
     QueryStatus,
-    ShardedCoordinator,
     SystemConfig,
     YoutopiaSession,
     YoutopiaSystem,
@@ -101,7 +99,6 @@ __all__ = [
     "InProcessService",
     "IntrospectionService",
     "MatchPlanCache",
-    "MatchWorkerPool",
     "MatchedGroup",
     "Matcher",
     "QueryEngine",
@@ -112,7 +109,6 @@ __all__ = [
     "RemoteService",
     "RequestHandle",
     "ServiceStats",
-    "ShardedCoordinator",
     "SubmitRequest",
     "SystemConfig",
     "YoutopiaError",

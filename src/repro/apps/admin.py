@@ -138,9 +138,8 @@ class AdminInterface:
     def shard_text(self) -> str:
         lines = []
         for entry in self.shard_stats():
-            label = "global (cross-shard)" if entry.get("cross_shard") else str(entry["shard"])
             lines.append(
-                f"shard {label}: pending={entry['pending']} "
+                f"shard {entry['shard']}: pending={entry['pending']} "
                 f"index={entry['index_size']} queued={entry['queued_events']} "
                 f"dirty={bool(entry['dirty'])}"
             )

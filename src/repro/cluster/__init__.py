@@ -1,17 +1,17 @@
 """Multi-node coordination: placement, the shard-routing gateway, standbys.
 
 The paper's coordination component is a single process; the ROADMAP's north
-star is "heavy traffic from millions of users".  This package promotes the
-relation-signature shards of :mod:`repro.core.sharding` into a **cluster**:
+star is "heavy traffic from millions of users".  This package spreads answer
+relations over a **cluster** of coordination servers:
 
 * :mod:`repro.cluster.placement` — a static placement map assigning
-  relation-signature shards to member nodes (signature→node routing agrees
-  with signature→shard routing by construction);
+  relation shards (CRC32 of the relation name) to member nodes, and the
+  signature→node routing built on it;
 * :mod:`repro.cluster.router` — an asyncio gateway speaking the unchanged
   wire codec: it fans ``submit_many`` batches out by shard, merges stats and
   answers, forwards ``done`` pushes, and runs the **cross-node residence
   pass** (queries whose relations span nodes are co-located on the residence
-  node, mirroring the in-process global residence);
+  node);
 * :mod:`repro.cluster.shipping` / :mod:`repro.cluster.standby` — **WAL
   shipping**: a primary streams its write-ahead log to a standby that replays
   records LSN-idempotently and can be promoted on failure.

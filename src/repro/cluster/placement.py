@@ -1,12 +1,10 @@
 """The static placement map: which member node owns which relation shard.
 
 Placement is pure arithmetic — no catalog, no gossip: a relation's node is
-:func:`repro.core.sharding.node_for_relation` (CRC32 of the lower-cased name,
-modulo the node count), so every router, node and test computes the same
-assignment independently.  Deriving node placement from the *same* hash as
-in-process shard placement keeps the two routing layers consistent: queries
-that share a matching universe inside one process also share a node across
-the cluster.
+:func:`node_for_relation` (CRC32 of the lower-cased name, modulo the shard
+count, projected onto the node count), so every router, node and test
+computes the same assignment independently, and a restarted router places
+every relation exactly where it did before.
 
 The router needs a query's relation signature *before* any node sees the
 query.  Fully compiling entangled SQL at the gateway would put the whole
@@ -14,8 +12,8 @@ compiler on the hot path of every routed submission, so
 :func:`extract_signature` reads the signature straight off the SQL text
 (every entangled relation is introduced by the keyword ``ANSWER``), falling
 back to the real compiler only when the scan finds nothing.  A conformance
-test asserts the scan agrees with :func:`~repro.core.sharding.relation_signature`
-of the compiled query across the test corpus.
+test asserts the scan agrees with :func:`relation_signature` of the compiled
+query across the test corpus.
 """
 
 from __future__ import annotations
@@ -25,11 +23,53 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
-from repro.core.sharding import (
-    node_for_relation,
-    relation_signature,
-    route_signature_to_node,
-)
+from repro.core import ir
+
+
+def relation_signature(query: ir.EntangledQuery) -> frozenset[str]:
+    """The set of answer relations a query's entangled atoms reference.
+
+    Heads and answer constraints both count: a head *provides* tuples of a
+    relation, an answer constraint *requires* them, and matching pairs the
+    two — so any potential partner shares at least one of these relations.
+    """
+    return frozenset(relation.lower() for relation in query.answer_relations())
+
+
+def shard_for_relation(relation: str, shard_count: int) -> int:
+    """Stable shard assignment for one relation (CRC32, not the salted hash)."""
+    return zlib.crc32(relation.lower().encode("utf-8")) % shard_count
+
+
+def node_for_relation(
+    relation: str, node_count: int, shard_count: Optional[int] = None
+) -> int:
+    """Stable cluster-node assignment for one relation.
+
+    Derived from :func:`shard_for_relation`: with ``shard_count`` a multiple
+    of ``node_count`` (the cluster default is ``shard_count == node_count``),
+    two relations on the same shard always land on the same node, which is
+    what lets a grown cluster move whole shards (:meth:`PlacementMap.split`).
+    """
+    return shard_for_relation(relation, shard_count or node_count) % node_count
+
+
+def route_signature_to_node(
+    signature: frozenset[str], node_count: int, shard_count: Optional[int] = None
+) -> Optional[int]:
+    """The single cluster node owning a signature, or ``None`` for cross-node.
+
+    An empty signature pins to node 0, a signature whose relations agree on
+    one node routes there, and a signature spanning nodes returns ``None`` —
+    the router's cross-node residence pass must own it.
+    """
+    if not signature:
+        return 0
+    nodes = {node_for_relation(relation, node_count, shard_count) for relation in signature}
+    if len(nodes) == 1:
+        return nodes.pop()
+    return None
+
 
 #: SQL string literals (with '' escapes) — stripped before the keyword scan so
 #: a literal like 'IN ANSWER Hotel' cannot forge a routing relation.
@@ -98,15 +138,15 @@ class PlacementMap:
     count keeps finer shards while still agreeing on node boundaries.
 
     Cross-node signatures need a **residence node** where every entangled
-    partner can meet (the cluster analogue of the sharded coordinator's
-    global residence).  Residence is *per signature*: the sorted cross-node
-    signature is hashed with the same CRC32 arithmetic that places single
-    relations (:meth:`residence_node_for`), so residence load spreads over
-    all members instead of piling onto node 0.  Two queries that can
-    coordinate share at least one answer relation, and the router's
-    hot-relation rule drags later arrivals to wherever the first cross-node
-    signature landed — per-signature hashing only has to be *deterministic*,
-    not globally unique, for partners to meet.
+    partner can meet, because nodes never share pending pools.  Residence is
+    *per signature*: the sorted cross-node signature is hashed with the same
+    CRC32 arithmetic that places single relations
+    (:meth:`residence_node_for`), so residence load spreads over all members
+    instead of piling onto node 0.  Two queries that can coordinate share at
+    least one answer relation, and the router's hot-relation rule drags later
+    arrivals to wherever the first cross-node signature landed —
+    per-signature hashing only has to be *deterministic*, not globally
+    unique, for partners to meet.
     """
 
     def __init__(self, nodes: Sequence[NodeSpec], shard_count: Optional[int] = None) -> None:
@@ -139,7 +179,7 @@ class PlacementMap:
 
         CRC32 of the sorted, ``|``-joined lower-cased signature, modulo the
         node count — the same arithmetic family as
-        :func:`~repro.core.sharding.shard_for_relation`, applied to the whole
+        :func:`shard_for_relation`, applied to the whole
         signature so distinct cross-node signatures spread over all members.
         An empty signature (unparseable SQL the target node will reject with
         the authoritative error) pins to node 0.

@@ -1,12 +1,7 @@
 """Router-side query registry and the cross-node residence rule.
 
-The in-process sharded coordinator sends cross-shard queries to a *global
-residence* so entangled partners always share one matching universe.  The
-cluster needs the same invariant at node granularity: two queries that can
-coordinate with each other must live on the same node, because nodes never
-gossip pending pools.
-
-The rule the router enforces, mirroring ``ShardedCoordinator``:
+Two queries that can coordinate with each other must live on the same node,
+because nodes never gossip pending pools.  The rule the router enforces:
 
 * a query whose signature maps to a single node goes to that **home node**;
 * a query whose signature spans nodes goes to the **residence node of its

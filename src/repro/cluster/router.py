@@ -17,8 +17,7 @@ node and:
   its relations become *hot* there; pending queries stranded on home nodes
   that touch a hot relation are relocated (cancel there, resubmit at the hot
   node, same query id) so entangled partners always share one matching
-  universe — the cluster analogue of the sharded coordinator's global
-  residence;
+  universe;
 * **forwards pushes**: nodes push ``done`` states to the router's node
   connection; the router settles its registry entry and re-pushes to every
   client connection watching that query — client handles stay push-driven
@@ -1049,17 +1048,6 @@ class ClusterRouter(AsyncServerBase):
             )
         )
         return sum(int(count) for count in retried)
-
-    async def _op_drain(
-        self, _connection: _AsyncConnection, timeout: Optional[float] = None
-    ) -> bool:
-        drained = await asyncio.gather(
-            *(
-                self._client(node)._call("drain", timeout=timeout)
-                for node in range(self.placement.node_count)
-            )
-        )
-        return all(bool(flag) for flag in drained)
 
     async def _op_shutdown(self, _connection: _AsyncConnection) -> bool:
         # Stops the router only; member nodes keep running (they are owned

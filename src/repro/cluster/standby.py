@@ -87,7 +87,7 @@ class StandbyFollower(threading.Thread):
     def run(self) -> None:
         system = self.service.system
         coordinator = system.coordinator
-        # Replayed transitions must not mark shards dirty or arm retry
+        # Replayed transitions must not mark the pool dirty or arm retry
         # sweeps mid-stream (the promoted standby sweeps once, like
         # recovery); the guard is thread-local, so it scopes this thread.
         coordinator._executing.active = True

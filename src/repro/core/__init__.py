@@ -31,14 +31,6 @@ from repro.core.matching import MatchedGroup, Matcher, Unifier
 from repro.core.matchplan import GridProviderIndex, MatchPlanCache, QueryPlan
 from repro.core.safety import AnalysisReport, analyze, check
 from repro.core.session import YoutopiaSession
-from repro.core.sharding import (
-    MatchWorkerPool,
-    QueryShard,
-    ShardedCoordinator,
-    relation_signature,
-    route_signature,
-    shard_for_relation,
-)
 from repro.core.stats import CoordinationStatistics
 from repro.core.system import YoutopiaSystem
 from repro.core.transactions import TransactionManager
@@ -59,14 +51,11 @@ __all__ = [
     "GridProviderIndex",
     "JointExecutor",
     "MatchPlanCache",
-    "MatchWorkerPool",
     "MatchedGroup",
     "Matcher",
     "QueryPlan",
-    "QueryShard",
     "QueryStatus",
     "RecoveryReport",
-    "ShardedCoordinator",
     "SystemConfig",
     "TransactionManager",
     "Unifier",
@@ -79,8 +68,5 @@ __all__ = [
     "entangled_to_sql",
     "ir",
     "read_wal",
-    "relation_signature",
-    "route_signature",
-    "shard_for_relation",
     "var",
 ]

@@ -33,27 +33,6 @@ class SystemConfig:
         Upper bound on the size of a coordination group the matcher explores.
     auto_retry_on_data_change:
         Re-attempt pending coordinations when base data changes.
-    match_workers:
-        Number of background matching threads.  ``0`` (the default) keeps the
-        classic inline behaviour: every ``submit`` runs a match pass under the
-        coordinator's global lock before returning.  With one or more workers
-        the system uses the sharded, event-driven coordinator
-        (:class:`~repro.core.sharding.ShardedCoordinator`): submissions only
-        register and enqueue a match event, and the worker pool drains
-        per-shard queues in the background — callers observe answers through
-        ``wait`` / handles / callbacks.
-    shard_count:
-        Number of pending-pool shards for the sharded coordinator.  ``None``
-        derives one shard per worker (``max(1, match_workers)``) so each
-        worker tends to own a shard; set it explicitly to decouple the two.
-        Ignored when ``match_workers == 0``.
-    idle_sweep_interval:
-        Liveness backstop for the sharded coordinator (seconds).  A data
-        change marks shards dirty, and a shard normally sweeps its pending
-        set when its next match event is processed; a shard receiving no
-        traffic would starve.  Idle workers therefore sweep any shard that
-        has stayed dirty (with pending residents) for at least this long.
-        ``0`` disables the backstop.  Ignored when ``match_workers == 0``.
     data_dir:
         Directory for the durability subsystem
         (:mod:`~repro.core.durability`): a write-ahead log journaling every
@@ -89,9 +68,8 @@ class SystemConfig:
     pending_memory_limit:
         System-wide bound on *fully-materialized* pending queries.  ``None``
         (the default) keeps the classic all-in-memory pool.  With a limit,
-        every pending pool becomes a :class:`~repro.core.tiering.TieredPool`:
-        the budget is split evenly across shards, recently-touched queries
-        stay hot in shard memory, and colder ones are evicted to the
+        the pending pool becomes a :class:`~repro.core.tiering.TieredPool`:
+        recently-touched queries stay hot in memory, and colder ones are evicted to the
         ``cold_store`` backend — their provider-index entries stay resident,
         so a candidate hit transparently pages the query back in before the
         match attempt.  Answers are identical to the untiered pool; only
@@ -104,7 +82,7 @@ class SystemConfig:
         :func:`repro.storage.backends.register_backend`.  Ignored without
         ``pending_memory_limit``.
     eviction_policy:
-        Which hot query spills when a pool exceeds its budget: ``"lru"``
+        Which hot query spills when the pool exceeds its budget: ``"lru"``
         (the default — touches on every probe, so actively-matching queries
         stay hot) or ``"fifo"`` (strict arrival order, no touch accounting).
         Ignored without ``pending_memory_limit``.
@@ -113,9 +91,6 @@ class SystemConfig:
     seed: Optional[int] = None
     max_group_size: int = 32
     auto_retry_on_data_change: bool = False
-    match_workers: int = 0
-    shard_count: Optional[int] = None
-    idle_sweep_interval: float = 0.25
     data_dir: Optional[Union[str, Path]] = None
     fsync_policy: str = "batch"
     snapshot_interval: int = 1000
@@ -125,13 +100,6 @@ class SystemConfig:
     pending_memory_limit: Optional[int] = None
     cold_store: str = "sqlite"
     eviction_policy: str = "lru"
-
-    @property
-    def resolved_shard_count(self) -> int:
-        """The effective number of shards (defaults to one per worker)."""
-        if self.shard_count is not None:
-            return max(1, self.shard_count)
-        return max(1, self.match_workers)
 
     def replace(self, **overrides: object) -> "SystemConfig":
         """A copy of this configuration with some fields overridden."""
@@ -143,9 +111,6 @@ class SystemConfig:
             "seed": self.seed,
             "max_group_size": self.max_group_size,
             "auto_retry_on_data_change": self.auto_retry_on_data_change,
-            "match_workers": self.match_workers,
-            "shard_count": self.resolved_shard_count,
-            "idle_sweep_interval": self.idle_sweep_interval,
             "data_dir": None if self.data_dir is None else str(self.data_dir),
             "fsync_policy": self.fsync_policy,
             "snapshot_interval": self.snapshot_interval,

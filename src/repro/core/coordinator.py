@@ -27,14 +27,13 @@ import enum
 import random
 import threading
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Iterable,
-    Iterator,
     MutableMapping,
     Optional,
     Sequence,
@@ -157,8 +156,8 @@ class Coordinator:
         self._done_callbacks: dict[str, list[Callable[[CoordinationRequest], None]]] = {}
         self._lock = threading.RLock()
         self._answered = threading.Condition(self._lock)
-        # Thread-local so a sharded subclass's worker executing a group does
-        # not suppress data-change notifications caused by *other* threads.
+        # Thread-local so a joint execution does not suppress data-change
+        # notifications caused by DML on *other* threads meanwhile.
         self._executing = threading.local()
         self._data_dirty = False
 
@@ -180,7 +179,7 @@ class Coordinator:
                 on_evict=self._tiering_evicted,
                 on_page_in=self._tiering_paged_in,
             )
-            self._pool = self._tiering.new_pool()
+            self._pool = self._tiering.pool
 
         self.database.create_view(
             make_schema(
@@ -386,11 +385,7 @@ class Coordinator:
             return exc
 
     def _add_pending(self, query: ir.EntangledQuery) -> None:
-        """Insert a query into pending bookkeeping (lock held).
-
-        The sharded coordinator overrides this (and :meth:`_remove_pending`)
-        to route the query into the shard owning its relation signature.
-        """
+        """Insert a query into pending bookkeeping (lock held)."""
         self._pool[query.query_id] = query
         self._index.add_query(query)
 
@@ -423,18 +418,13 @@ class Coordinator:
         """Try to coordinate ``trigger`` with the current pool (lock held)."""
         if trigger.query_id not in self._pool:
             return None
-        group = self._select_group(trigger, self._pool, self._index)
+        group = self._select_group(trigger)
         self._note_match_attempt(trigger, group, pool_size=len(self._pool))
         if group is None:
             return None
         return self._execute_group_locked(group)
 
-    def _select_group(
-        self,
-        trigger: ir.EntangledQuery,
-        pool: Any,
-        index: Any,
-    ) -> Optional[MatchedGroup]:
+    def _select_group(self, trigger: ir.EntangledQuery) -> Optional[MatchedGroup]:
         """Choose one match group for ``trigger`` under the configured policy.
 
         ``first_match`` short-circuits to the single-group search — the
@@ -443,12 +433,14 @@ class Coordinator:
         """
         matcher = self._matcher
         if isinstance(self._policy, FirstMatchPolicy):
-            group = matcher.find_group(trigger, pool, index)
+            group = matcher.find_group(trigger, self._pool, self._index)
             if group is not None:
                 self.policy_statistics.record_first_match()
             return group
         limit = max(1, self.config.policy_candidate_limit)
-        candidates = list(matcher.enumerate_groups(trigger, pool, index, limit=limit))
+        candidates = list(
+            matcher.enumerate_groups(trigger, self._pool, self._index, limit=limit)
+        )
         if not candidates:
             return None
         decision = select_by_policy(
@@ -463,19 +455,15 @@ class Coordinator:
         """Assemble the per-attempt context the policies score against."""
         priorities: dict[str, float] = {}
         registered_at: dict[str, float] = {}
-        # The request map is read under the base lock — sharded workers reach
-        # here holding shard locks only, and _finalize_outcome_locked already
-        # establishes the shard-locks-then-base-lock ordering.
-        with self._lock:
-            for group in candidates:
-                for query in group.queries:
-                    if query.query_id in priorities or query.query_id in registered_at:
-                        continue
-                    request = self._requests.get(query.query_id)
-                    if request is not None:
-                        registered_at[query.query_id] = request.registered_at
-                    if query.priority is not None:
-                        priorities[query.query_id] = float(query.priority)
+        for group in candidates:
+            for query in group.queries:
+                if query.query_id in priorities or query.query_id in registered_at:
+                    continue
+                request = self._requests.get(query.query_id)
+                if request is not None:
+                    registered_at[query.query_id] = request.registered_at
+                if query.priority is not None:
+                    priorities[query.query_id] = float(query.priority)
         return PolicyContext(
             trigger_id=trigger.query_id,
             now=time.time(),
@@ -530,10 +518,10 @@ class Coordinator:
         """A pool spilled ``query_id``: release its materialized state.
 
         Called by the :class:`~repro.core.tiering.TieredPool` under the
-        pool's guarding lock (shard lock when sharded).  The request record
-        swaps to the structural stub — heads, owner, priority and the exact
-        SQL survive, so routing, journaling and wire encoding stay correct —
-        and the compiled match plan is dropped with the IR it indexed.
+        coordinator lock.  The request record swaps to the structural stub —
+        heads, owner, priority and the exact SQL survive, so routing,
+        journaling and wire encoding stay correct — and the compiled match
+        plan is dropped with the IR it indexed.
         """
         self._evict_match_plan(query_id)
         with self._lock:
@@ -570,9 +558,9 @@ class Coordinator:
         group_ids = tuple(group.query_ids)
         answered_at = time.time()
         # Write-ahead: the commit record is appended before any request flips
-        # to ANSWERED, while this thread still holds the locks of every
-        # involved shard.  A crash before the append leaves the whole group
-        # pending in the log and recovery re-matches it; a crash after
+        # to ANSWERED, while this thread still holds the coordinator lock.
+        # A crash before the append leaves the whole group pending in the
+        # log and recovery re-matches it; a crash after
         # replays the identical answers.  A *non-fatal* append failure (disk
         # full on a live system) must NOT abort the finalize: the joint
         # execution already committed its tuples, and leaving the group
@@ -786,7 +774,7 @@ class Coordinator:
 
         Returns ``False`` when no journal is attached.  The capture and the
         log truncation happen under every lock a state transition would need
-        (checkpoint lock first, then the coordination locks), so the snapshot
+        (checkpoint lock first, then the coordinator lock), so the snapshot
         is a consistent cut: no record can land between the captured state
         and the truncation.  ``only_if_due`` re-checks the snapshot trigger
         *inside* the locks — concurrent ``_maybe_checkpoint`` callers that
@@ -797,7 +785,7 @@ class Coordinator:
         if journal is None or journal.closed:
             return False
         with journal.checkpoint_scope():
-            with self._checkpoint_locks():
+            with self._lock:
                 if only_if_due and not journal.snapshot_due():
                     return False
                 state = self._capture_state_locked()
@@ -805,12 +793,6 @@ class Coordinator:
                 pending = len(self._pool)
         self.events.publish(EventType.SNAPSHOT_TAKEN, last_lsn=last_lsn, pending=pending)
         return True
-
-    @contextmanager
-    def _checkpoint_locks(self) -> Iterator[None]:
-        """Every lock a consistent capture needs (overridden when sharded)."""
-        with self._lock:
-            yield
 
     def _capture_state_locked(self) -> dict[str, Any]:
         """The snapshot payload: tables, declarations, requests, counters."""
@@ -848,7 +830,7 @@ class Coordinator:
             if (
                 self._tiering is not None
                 and request.status is QueryStatus.PENDING
-                and self._tiering.is_cold(request.query_id)
+                and self._tiering.pool.is_cold(request.query_id)
             ):
                 # The spill store *is* checkpointed state: reference the
                 # cold entry instead of re-serializing it.  recover_request
@@ -869,13 +851,6 @@ class Coordinator:
         }
 
     # -- durability: recovery application ---------------------------------------------------------------
-
-    @contextmanager
-    def _registration_scope(self, query: ir.EntangledQuery) -> Iterator[None]:
-        """The locks guarding one query's pending bookkeeping (overridable)."""
-        del query
-        with self._lock:
-            yield
 
     def recover_request(self, state: dict[str, Any]) -> bool:
         """Rebuild one request from its journaled/snapshotted state.
@@ -934,7 +909,7 @@ class Coordinator:
         if status is QueryStatus.PENDING and query.heads:
             rejection = self._run_static_checks(request)
             if rejection is None:
-                with self._registration_scope(query):
+                with self._lock:
                     for atom in list(query.heads) + list(query.answer_atoms):
                         self.registry.ensure(atom.relation, atom.arity)
                     self._add_pending(query)
@@ -981,7 +956,7 @@ class Coordinator:
         happens for damaged logs).  Returns the number of requests applied.
         """
         applied = 0
-        with self._recovery_commit_locks():
+        with self._lock:
             for answer in answers:
                 request = self._requests.get(answer.query_id)
                 if request is None or request.status is QueryStatus.ANSWERED:
@@ -1004,7 +979,7 @@ class Coordinator:
 
     def apply_recovered_cancel(self, query_id: str) -> bool:
         """Replay one cancel record (idempotent)."""
-        with self._recovery_commit_locks():
+        with self._lock:
             request = self._requests.get(query_id)
             if request is None or request.status is not QueryStatus.PENDING:
                 return False
@@ -1013,12 +988,6 @@ class Coordinator:
             self._discard_pending(query_id)
             self._answered.notify_all()
         return True
-
-    @contextmanager
-    def _recovery_commit_locks(self) -> Iterator[None]:
-        """Locks for replaying commits/cancels (overridden when sharded)."""
-        with self._lock:
-            yield
 
     def _discard_pending(self, query_id: str) -> None:
         """Drop a query from pending bookkeeping if (still) resident."""
@@ -1090,7 +1059,7 @@ class Coordinator:
         return self._tiering.statistics()
 
     def shard_stats(self) -> list[dict[str, int]]:
-        """Per-shard introspection; the inline coordinator is one big shard."""
+        """The ``ServiceStats.shards`` entry: the coordinator's pool is one shard."""
         with self._lock:
             return [
                 {
@@ -1103,20 +1072,10 @@ class Coordinator:
                 }
             ]
 
-    # -- lifecycle (uniform surface with the sharded coordinator) ----------------------------------------
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Wait until no match events are queued or in flight.
-
-        The inline coordinator matches synchronously inside ``submit``, so
-        there is never queued work; this exists so callers can treat both
-        coordinator flavours uniformly.
-        """
-        del timeout
-        return True
+    # -- lifecycle ---------------------------------------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Release background matching resources and close the cold store.
+        """Close the cold store.
 
         Runs after the system's final checkpoint, so every payload a
         snapshot references has already been synced.

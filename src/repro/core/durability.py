@@ -23,9 +23,8 @@ survives a process crash.  This module makes the pending pool durable:
 Write-ahead discipline and lock ordering
 ----------------------------------------
 Coordinator records (``submit``/``commit``/``cancel``) are appended while the
-coordinator still holds the locks of the affected state (the shard locks on
-the sharded path), so the log order equals the commit order and a checkpoint
-— which takes every coordinator lock — can never capture a state that is
+coordinator still holds its lock, so the log order equals the commit order
+and a checkpoint — which takes that lock — can never capture a state that is
 "between" a match and its commit record.  The commit record is written
 *before* the in-memory request records flip to ``ANSWERED``; a crash between
 joint execution and the commit append simply leaves the group pending in the
@@ -691,8 +690,8 @@ class DurabilityManager:
         """Excludes ``data``/``declare`` journaling while a snapshot is cut.
 
         The coordinator takes this lock *before* its own locks, mirroring the
-        journaled-data path (checkpoint lock → shard locks via the data-change
-        listener), so the two cannot deadlock.
+        journaled-data path (checkpoint lock → coordinator lock via the
+        data-change listener), so the two cannot deadlock.
         """
         with self._checkpoint_lock:
             yield
@@ -718,9 +717,9 @@ class DurabilityManager:
         report = RecoveryReport(repaired_bytes=self._repaired_bytes)
         started = time.perf_counter()
         coordinator = system.coordinator
-        # Recovery-internal table writes must not mark shards dirty or arm
+        # Recovery-internal table writes must not mark the pool dirty or arm
         # retry sweeps; the thread-local executor guard suppresses exactly
-        # that (and is per-thread, so worker threads are unaffected).
+        # that (and is per-thread, so other threads are unaffected).
         coordinator._executing.active = True
         try:
             if self._snapshot_state is not None:
@@ -798,16 +797,16 @@ class DurabilityManager:
     ) -> dict[str, Any]:
         """Atomically capture the recoverable state and attach a log subscriber.
 
-        The standby-bootstrap primitive: the checkpoint scope plus every
+        The standby-bootstrap primitive: the checkpoint scope plus the
         coordinator lock block *all* append paths (coordinator records append
-        under coordinator locks; ``data``/``declare`` append under the
+        under the coordinator lock; ``data``/``declare`` append under the
         checkpoint lock), so the returned state and the subscription are a
         consistent cut — no record falls between the snapshot and the stream.
         The state carries ``last_lsn``; the subscriber sees every record with
         a higher LSN exactly when it is appended (ship-before-ack).
         """
         with self.checkpoint_scope():
-            with system.coordinator._checkpoint_locks():
+            with system.coordinator._lock:
                 state = system.coordinator._capture_state_locked()
                 state["last_lsn"] = self.wal.last_lsn
                 self.wal.add_subscriber(subscriber)

@@ -31,14 +31,13 @@ position.  This module precompiles all of that once per query:
 
 Determinism contract: for any pool state, :meth:`GridProviderIndex.candidates`
 returns the compatible providers in query arrival order.  The differential
-fuzz harness (``tests/integration/test_sharded_fuzz.py``) holds this module
+fuzz harness (``tests/integration/test_matching_fuzz.py``) holds this module
 to the interpreted matcher and single-key index of
 ``tests/matching_reference.py``: both return the same candidate lists and
 consume the match RNG identically, so they commit byte-identical answers.
 
 Concurrency: plan compilation, execution and eviction are all performed while
-the coordinator holds the locks that already serialise matching (the inline
-coordinator's lock, or the sharded coordinator's db/shard locks), so the
+the coordinator holds the lock that already serialises matching, so the
 cache needs no locking of its own.
 """
 

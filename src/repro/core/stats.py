@@ -7,15 +7,14 @@ scalability benchmarks report.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.matching import MatchStatistics
 
 
 @dataclass
 class CoordinationStatistics:
-    """Monotonic counters maintained by the coordinator."""
+    """Monotonic counters maintained by the coordinator (under its lock)."""
 
     queries_registered: int = 0
     queries_rejected: int = 0
@@ -30,33 +29,25 @@ class CoordinationStatistics:
     unification_attempts: int = 0
     grounding_attempts: int = 0
     domain_queries: int = 0
-    match_events: int = 0
-    retry_sweeps: int = 0
-    cross_shard_passes: int = 0
-    _lock: threading.RLock = field(default_factory=threading.RLock, repr=False, compare=False)
-
-    def increment(self, **deltas: int) -> None:
-        """Atomically bump a set of counters (used by worker threads)."""
-        with self._lock:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
 
     def record_match_attempt(self, succeeded: bool, match_stats: MatchStatistics) -> None:
-        with self._lock:
-            self.match_attempts += 1
-            if not succeeded:
-                self.failed_match_attempts += 1
-            self.structural_nodes += match_stats.structural_nodes
-            self.unification_attempts += match_stats.unification_attempts
-            self.grounding_attempts += match_stats.grounding_attempts
-            self.domain_queries += match_stats.domain_queries
+        self.match_attempts += 1
+        if not succeeded:
+            self.failed_match_attempts += 1
+        self.structural_nodes += match_stats.structural_nodes
+        self.unification_attempts += match_stats.unification_attempts
+        self.grounding_attempts += match_stats.grounding_attempts
+        self.domain_queries += match_stats.domain_queries
 
     def load(self, counters: dict[str, int]) -> None:
-        """Restore counter values (recovery from a durability snapshot)."""
-        with self._lock:
-            for name, value in counters.items():
-                if hasattr(self, name) and not name.startswith("_"):
-                    setattr(self, name, value)
+        """Restore counter values (recovery from a durability snapshot).
+
+        Names this version does not count (snapshots written by older code)
+        are skipped.
+        """
+        for name, value in counters.items():
+            if hasattr(self, name) and not name.startswith("_"):
+                setattr(self, name, value)
 
     def as_dict(self) -> dict[str, int]:
         """A plain dictionary view (for the admin interface and benchmarks)."""
@@ -74,7 +65,4 @@ class CoordinationStatistics:
             "unification_attempts": self.unification_attempts,
             "grounding_attempts": self.grounding_attempts,
             "domain_queries": self.domain_queries,
-            "match_events": self.match_events,
-            "retry_sweeps": self.retry_sweeps,
-            "cross_shard_passes": self.cross_shard_passes,
         }

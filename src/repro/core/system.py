@@ -56,13 +56,7 @@ class YoutopiaSystem:
         self.events = EventBus()
         self.rng = random.Random(config.seed)
         self.executor = JointExecutor(self.engine, self.answer_relations, self.transactions)
-        if config.match_workers > 0:
-            from repro.core.sharding import ShardedCoordinator
-
-            coordinator_cls: type[Coordinator] = ShardedCoordinator
-        else:
-            coordinator_cls = Coordinator
-        self.coordinator = coordinator_cls(
+        self.coordinator = Coordinator(
             database=self.database,
             engine=self.engine,
             registry=self.answer_relations,
@@ -225,14 +219,6 @@ class YoutopiaSystem:
     def retry_pending(self) -> int:
         return self.coordinator.retry_pending()
 
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Block until background match workers processed every queued event.
-
-        Always ``True`` immediately on the inline (``match_workers == 0``)
-        path, where matching happens synchronously inside ``submit``.
-        """
-        return self.coordinator.drain(timeout)
-
     # -- answer relations -------------------------------------------------------------------------
 
     def declare_answer_relation(
@@ -292,7 +278,7 @@ class YoutopiaSystem:
         return self.coordinator.pending_queries()
 
     def shard_stats(self) -> list[dict[str, int]]:
-        """Per-shard pending/index/queue sizes (one pseudo-shard when inline)."""
+        """The pool's pending/index sizes, as the one-entry ``ServiceStats.shards``."""
         return self.coordinator.shard_stats()
 
     def statistics(self) -> dict[str, int]:

@@ -1,31 +1,31 @@
-"""Tiered pending pool: hot queries in shard memory, cold ones spilled.
+"""Tiered pending pool: hot queries in memory, cold ones spilled.
 
 The paper's steady state is thousands of entangled queries parked waiting
 for coordination partners.  Keeping each one fully materialized — parsed
 domain subqueries, predicate trees, compiled match plans — caps the pool at
-process memory.  This module bounds that: each shard's pending pool becomes
-a :class:`TieredPool` holding at most ``capacity`` fully-materialized *hot*
-queries; everything beyond is evicted to a pluggable
+process memory.  This module bounds that: the coordinator's pending pool
+becomes a :class:`TieredPool` holding at most ``memory_limit``
+fully-materialized *hot* queries; everything beyond is evicted to a pluggable
 :class:`~repro.storage.backends.PendingStoreBackend` and *paged back in on
 demand*.
 
 What stays resident for a cold query — and why that is enough:
 
-* **Its provider-index entries.**  Eviction never touches the shard's
+* **Its provider-index entries.**  Eviction never touches the coordinator's
   provider index, so a cold query is still discoverable as a coordination
   candidate.  When the matcher probes the pool for a candidate hit
   (``pool.get(candidate.query_id)``) the tiered pool transparently pages the
   query back in *before* the match attempt — candidate enumeration order,
   RNG consumption and committed answers are byte-identical to an untiered
   pool (proven by the differential fuzz pass in
-  ``tests/integration/test_sharded_fuzz.py``).
+  ``tests/integration/test_matching_fuzz.py``).
 * **A structural stub.**  The cold side keeps a slimmed
   :class:`~repro.core.ir.EntangledQuery` — heads, answer atoms, owner,
   priority and the materialized SQL, with the bulky ``domains`` /
   ``predicates`` bodies dropped.  The stub answers every probe that does not
-  need matching semantics: shard routing, ``in`` / ``len`` membership, id
-  sweeps, index removal when the query leaves the pool, and snapshot/wire
-  encoding (the SQL string is exact, so journaling stays faithful).
+  need matching semantics: ``in`` / ``len`` membership, id sweeps, index
+  removal when the query leaves the pool, and snapshot/wire encoding (the
+  SQL string is exact, so journaling stays faithful).
 * **Nothing else.**  Compiled match plans are evicted with the query (they
   are derived state keyed by IR object identity and recompile transparently
   after a page-in), and the full payload lives only in the backend.
@@ -40,11 +40,9 @@ always resolve them, even if the query paged in and back out around the
 checkpoint.
 
 Locking: a :class:`TieredPool` has no lock of its own.  Every access happens
-under the lock that already guards the underlying pool — the shard lock for
-sharded pools, the coordinator lock inline — and the eviction/page-in hooks
-re-enter the coordinator under its request lock, which the established
-ordering (shard locks before ``self._lock``) permits.  The shared backend
-serializes internally.
+under the coordinator lock that already guards the pool, and the
+eviction/page-in hooks re-enter the coordinator under that same (reentrant)
+lock.  The backend serializes internally.
 """
 
 from __future__ import annotations
@@ -71,8 +69,8 @@ _MISSING = object()
 def make_stub(query: ir.EntangledQuery) -> ir.EntangledQuery:
     """The resident skeleton of an evicted query.
 
-    Heads and answer atoms survive (shard routing, index removal and
-    membership need them); ``sql`` is materialized via
+    Heads and answer atoms survive (index removal and membership need
+    them); ``sql`` is materialized via
     :func:`~repro.core.compiler.entangled_to_sql` so builder-made queries
     keep an exact journalable form; the parsed ``domains`` and ``predicates``
     — the bulk of a query's memory — are dropped.  A stub must never be
@@ -104,7 +102,7 @@ def recompile_stub(
 class TieredPool:
     """A hot/cold pending pool with the mapping surface the coordinator uses.
 
-    Drop-in for the per-shard ``dict[str, EntangledQuery]``: ``get`` /
+    Drop-in for the coordinator's ``dict[str, EntangledQuery]``: ``get`` /
     ``[]`` return the *full* query (paging it in when cold), membership and
     iteration cover both tiers without IO, ``values()`` / ``items()`` peek
     cold entries as stubs (introspection must not thrash the hot set), and
@@ -218,7 +216,7 @@ class TieredPool:
     # -- tier transitions --------------------------------------------------------------
 
     def _evict_overflow(self) -> None:
-        capacity = self._manager.capacity
+        capacity = self._manager.memory_limit
         while len(self._hot) > capacity:
             victim_id = next(iter(self._hot))
             victim = self._hot.pop(victim_id)
@@ -262,14 +260,13 @@ class TieredPool:
 
 
 class TieringManager:
-    """Owns the cold-store backend and the per-shard tiered pools.
+    """Owns the cold-store backend and the coordinator's tiered pool.
 
     The coordinator creates one manager when ``pending_memory_limit`` is
-    configured, then asks it for one pool per shard (plus the global
-    residence).  ``pending_memory_limit`` is a *system-wide* bound on
-    fully-materialized pending queries: the budget is split evenly across
-    pools, so the sum of hot sets never exceeds the limit (each pool keeps a
-    floor of one hot slot — the query being matched must be materialized).
+    configured and uses its :attr:`pool` as the pending pool.
+    ``pending_memory_limit`` bounds the fully-materialized pending queries;
+    it is at least one, because the query being matched must be
+    materialized.
     """
 
     def __init__(
@@ -290,25 +287,10 @@ class TieringManager:
         self.backend = backend
         self.memory_limit = memory_limit
         self.eviction_policy = eviction_policy
-        self.capacity = memory_limit
-        self._pools: list[TieredPool] = []
         self._on_evict = on_evict
         self._on_page_in = on_page_in
         self._closed = False
-
-    # -- pool lifecycle ----------------------------------------------------------------
-
-    def new_pool(self) -> TieredPool:
-        pool = TieredPool(self)
-        self._pools.append(pool)
-        self.capacity = max(1, self.memory_limit // len(self._pools))
-        return pool
-
-    def drop_pool(self, pool: Any) -> None:
-        """Forget a pool that was replaced before use (must be empty)."""
-        if pool in self._pools and not len(pool):
-            self._pools.remove(pool)
-            self.capacity = max(1, self.memory_limit // max(1, len(self._pools)))
+        self.pool = TieredPool(self)
 
     # -- coordinator hooks -------------------------------------------------------------
 
@@ -320,10 +302,7 @@ class TieringManager:
         if self._on_page_in is not None:
             self._on_page_in(query_id, query)
 
-    # -- cross-pool queries ------------------------------------------------------------
-
-    def is_cold(self, query_id: str) -> bool:
-        return any(pool.is_cold(query_id) for pool in self._pools)
+    # -- lifecycle and introspection ---------------------------------------------------
 
     def sync(self) -> None:
         """Durability barrier before a snapshot references cold entries."""
@@ -337,23 +316,19 @@ class TieringManager:
 
     def statistics(self) -> dict[str, Any]:
         """The ``ServiceStats.tiering`` block (numerics sum across nodes)."""
-        hot = sum(pool.hot_count() for pool in self._pools)
-        cold = sum(pool.cold_count() for pool in self._pools)
-        page_ins = sum(pool.page_ins for pool in self._pools)
-        page_in_seconds = sum(pool.page_in_seconds for pool in self._pools)
+        pool = self.pool
         return {
             "enabled": True,
             "memory_limit": self.memory_limit,
             "eviction_policy": self.eviction_policy,
             "backend": self.backend.describe(),
-            "pools": len(self._pools),
-            "hot": hot,
-            "cold": cold,
-            "peak_hot": sum(pool.peak_hot for pool in self._pools),
-            "evictions": sum(pool.evictions for pool in self._pools),
-            "page_ins": page_ins,
-            "page_in_seconds": round(page_in_seconds, 6),
-            "avg_page_in_ms": round(1000.0 * page_in_seconds / page_ins, 3)
-            if page_ins
+            "hot": pool.hot_count(),
+            "cold": pool.cold_count(),
+            "peak_hot": pool.peak_hot,
+            "evictions": pool.evictions,
+            "page_ins": pool.page_ins,
+            "page_in_seconds": round(pool.page_in_seconds, 6),
+            "avg_page_in_ms": round(1000.0 * pool.page_in_seconds / pool.page_ins, 3)
+            if pool.page_ins
             else 0.0,
         }

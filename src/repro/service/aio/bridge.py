@@ -292,9 +292,6 @@ class BridgedService:
             )
         )
 
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        return bool(self.run(self.aservice.drain(timeout)))
-
     # -- introspection extensions ------------------------------------------------------------------
 
     def request(self, query_id: str) -> BridgedHandle:

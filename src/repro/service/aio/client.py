@@ -493,10 +493,6 @@ class AsyncRemoteService:
             arity=arity,
         )
 
-    async def drain(self, timeout: Optional[float] = None) -> bool:
-        """Wait until the server's match workers drained their event queues."""
-        return bool(await self._call("drain", timeout=timeout))
-
     # -- introspection extensions (AsyncIntrospectionService) -----------------------------------------
 
     async def request(self, query_id: str) -> AsyncRemoteHandle:

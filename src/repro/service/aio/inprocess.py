@@ -5,8 +5,8 @@
 :class:`~repro.service.aio.api.AsyncIntrospectionService` by wrapping a
 synchronous :class:`~repro.service.InProcessService`.  The division of labour:
 
-* **blocking compute** — matching passes, SQL execution, WAL fsyncs,
-  ``drain`` — is dispatched to a private thread pool via
+* **blocking compute** — matching passes, SQL execution, WAL fsyncs —
+  is dispatched to a private thread pool via
   ``loop.run_in_executor``; the event loop never runs coordination work;
 * **waiting** is *not* dispatched: a pending query costs no thread.  ``wait``
   and awaited handles are resolved by the coordinator's thread-side
@@ -212,10 +212,6 @@ class AsyncInProcessService:
 
     async def stats(self) -> ServiceStats:
         return await self._run(self._sync.stats)
-
-    async def drain(self, timeout: Optional[float] = None) -> bool:
-        """Block (on a pool thread) until the match workers drained."""
-        return await self._run(self._sync.drain, timeout)
 
     async def declare_answer_relation(
         self,

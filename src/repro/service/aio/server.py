@@ -8,10 +8,10 @@ and cannot tell them apart.  What changes is the request plane:
 
 * one event loop owns every connection — no reader thread per socket, no
   handler thread per request;
-* each decoded request becomes a task, so blocking operations (``wait``,
-  ``drain``) on one connection never stall other requests on the same
-  connection — the multiplexing contract of the threaded server, at a
-  fraction of the cost;
+* each decoded request becomes a task, so a blocking operation (``wait``)
+  on one connection never stalls other requests on the same connection —
+  the multiplexing contract of the threaded server, at a fraction of the
+  cost;
 * **bounded in-flight concurrency**: a connection may have at most
   ``max_in_flight`` requests being handled; requests beyond the budget are
   *rejected* with a typed
@@ -562,11 +562,6 @@ class AsyncCoordinationServer(AsyncServerBase):
 
     async def _op_retry_pending(self, _connection: _AsyncConnection) -> int:
         return await self.aservice.retry_pending()
-
-    async def _op_drain(
-        self, _connection: _AsyncConnection, timeout: Optional[float] = None
-    ) -> bool:
-        return await self.aservice.drain(timeout)
 
     async def _op_shutdown(self, _connection: _AsyncConnection) -> bool:
         # The response is written first; _handle_request then schedules stop().

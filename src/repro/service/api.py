@@ -157,9 +157,9 @@ class ServiceStats:
     ``counters`` carries the monotonic counters of
     :class:`~repro.core.stats.CoordinationStatistics` (plus transaction
     counts); ``pending`` is the current pending-pool size.  ``shards``
-    describes the sharded coordinator's per-shard state (pending set size,
-    provider-index size, queued match events, dirty flag); the inline
-    coordinator reports itself as one pseudo-shard.  ``durability`` reports
+    holds one entry describing the coordinator's pool (pending set size,
+    provider-index size, dirty flag; ``queued_events`` and ``cross_shard``
+    are always 0).  ``durability`` reports
     the write-ahead-log subsystem (``{"enabled": False}`` for a memory-only
     system; otherwise WAL/fsync/snapshot counters plus a ``recovery`` summary
     of the last restart — see

@@ -180,10 +180,6 @@ class InProcessService:
             tiering=self.coordinator.tiering_statistics(),
         )
 
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Block until background match workers processed every queued event."""
-        return self.coordinator.drain(timeout)
-
     # -- introspection extensions (IntrospectionService) ------------------------------------------
 
     def request(self, query_id: str) -> RequestHandle:

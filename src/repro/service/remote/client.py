@@ -610,10 +610,6 @@ class RemoteService:
             arity=arity,
         )
 
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Block until the server's match workers drained their event queues."""
-        return bool(self._call("drain", timeout=timeout))
-
     # -- introspection extensions (IntrospectionService) ------------------------------------------------
 
     def request(self, query_id: str) -> RemoteHandle:

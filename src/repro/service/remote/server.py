@@ -1,13 +1,13 @@
 """The network server hosting one in-process coordination service.
 
 :class:`CoordinationServer` puts a :class:`~repro.service.InProcessService`
-(and therefore the sharded matcher and worker pool behind it) behind a TCP
-socket speaking the :mod:`repro.service.remote.codec` wire protocol:
+(and therefore the coordinator behind it) behind a TCP socket speaking the
+:mod:`repro.service.remote.codec` wire protocol:
 
 * an **accept loop** thread hands each connection to a per-connection
   **reader thread**;
 * every decoded request is dispatched on its own short-lived handler thread,
-  so a blocking operation (``wait``, ``drain``) on one connection never
+  so a blocking operation (``wait``) on one connection never
   stalls other requests on the *same* connection — a client may wait in one
   thread and cancel from another, exactly as against the in-process service;
 * for every handle a client holds, the server registers a coordinator
@@ -458,11 +458,6 @@ class CoordinationServer:
 
         state = durability.subscribe_with_snapshot(self.service.system, ship)
         return {"state": state, "last_lsn": int(state.get("last_lsn", 0))}
-
-    def _op_drain(
-        self, _connection: _ClientConnection, timeout: Optional[float] = None
-    ) -> bool:
-        return self.service.drain(timeout)
 
     def _op_shutdown(self, _connection: _ClientConnection) -> bool:
         # The response is written first; _handle_request then calls stop().

@@ -1,7 +1,7 @@
 """Pluggable storage backends for the tiered pending pool.
 
 The tiered pool (:mod:`repro.core.tiering`) evicts cold pending queries out
-of shard memory into a *pending store*: a tiny durable key/value table
+of memory into a *pending store*: a tiny durable key/value table
 mapping ``query_id`` to a JSON payload from which the query can be recompiled
 on page-in.  This module defines the backend contract plus the two built-in
 implementations, and a registry so alternative stores (a Postgres table, a
@@ -48,9 +48,8 @@ COLD_STORE_SIDECARS = (COLD_STORE_FILE + "-journal", COLD_STORE_FILE + "-wal",
 class PendingStoreBackend(Protocol):
     """The contract a cold store must satisfy.
 
-    Implementations must be thread-safe: eviction and page-in run under
-    different shard locks concurrently, and the checkpoint's ``sync()`` call
-    can race either.  Keys are globally unique query ids, values are opaque
+    Implementations must be thread-safe: the checkpoint's ``sync()`` call
+    can race eviction and page-in.  Keys are globally unique query ids, values are opaque
     JSON strings produced by the tiering layer.
     """
 
@@ -141,8 +140,8 @@ class SQLitePendingStore:
       OFF, otherwise FULL), so a cold store inside a durable data dir is as
       crash-safe as the WAL next to it.
     * A single connection guarded by a lock (``check_same_thread=False``):
-      eviction/page-in already serialise on shard locks, so backend
-      contention is not a hot path.
+      eviction/page-in already serialise on the coordinator lock, so
+      backend contention is not a hot path.
     """
 
     _SYNCHRONOUS = {"always": "FULL", "batch": "FULL", "never": "OFF"}

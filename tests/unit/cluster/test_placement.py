@@ -8,8 +8,12 @@ import zlib
 import pytest
 
 from repro.core.compiler import compile_entangled
-from repro.core.sharding import node_for_relation, relation_signature
 from repro.cluster import NodeSpec, PlacementMap, extract_signature
+from repro.cluster.placement import (
+    node_for_relation,
+    relation_signature,
+    shard_for_relation,
+)
 
 KRAMER_SQL = (
     "SELECT 'Kramer', fno INTO ANSWER Reservation "
@@ -37,6 +41,29 @@ CORPUS = [
         "AND ('c', fno) IN ANSWER Reservation CHOOSE 1"
     ),
 ]
+
+
+class TestRouting:
+    def test_shard_for_relation_stable_and_case_insensitive(self):
+        assert shard_for_relation("Reservation", 4) == shard_for_relation("reservation", 4)
+        assert shard_for_relation("Reservation", 4) == shard_for_relation("Reservation", 4)
+        assert 0 <= shard_for_relation("Reservation", 4) < 4
+
+    def test_relation_signature_covers_heads_and_constraints(self):
+        query = compile_entangled(
+            "SELECT 'a', fno INTO ANSWER ResA "
+            "WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Paris') "
+            "AND ('b', fno) IN ANSWER ResB CHOOSE 1"
+        )
+        assert relation_signature(query) == frozenset({"resa", "resb"})
+
+    def test_node_placement_is_crc32_of_the_lowercased_name(self) -> None:
+        # A restarted router must place every relation where it did before.
+        for relation in ("Reservation", "hotel", "CAB", "Booking7"):
+            crc = zlib.crc32(relation.lower().encode("utf-8"))
+            assert shard_for_relation(relation, 6) == crc % 6
+            assert node_for_relation(relation, 3, 6) == (crc % 6) % 3
+            assert node_for_relation(relation, 2) == crc % 2
 
 
 class TestExtractSignature:

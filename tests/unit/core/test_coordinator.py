@@ -246,6 +246,29 @@ class TestWaitAndCancel:
         with pytest.raises(EntanglementError):
             system.wait(kramer.query_id, timeout=0.01)
 
+    def test_done_callback_may_reenter_the_coordinator(self, system):
+        """A callback runs on the answering thread, after the whole group left
+        the pool: it can inspect, submit and cancel without deadlocking."""
+        observed: dict[str, object] = {}
+        kramer = system.submit_entangled(KRAMER_SQL, owner="Kramer")
+
+        def callback(request):
+            observed["pending"] = system.coordinator.pending_count()
+            observed["follow_up"] = system.submit_entangled(
+                KRAMER_SQL.replace("'Jerry'", "'Elaine'"), owner="Kramer"
+            )
+            try:
+                system.cancel(request.query_id)
+            except QueryAlreadyAnsweredError:
+                observed["cancel"] = "typed"
+
+        system.coordinator.add_done_callback(kramer.query_id, callback)
+        system.submit_entangled(JERRY_SQL, owner="Jerry")
+        assert observed["pending"] == 0
+        assert observed["cancel"] == "typed"
+        assert observed["follow_up"].status is QueryStatus.PENDING
+        assert system.coordinator.pending_count() == 1
+
 
 class TestRetry:
     def test_retry_after_data_change(self):

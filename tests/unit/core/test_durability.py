@@ -454,25 +454,6 @@ class TestRecovery:
         assert envelope is not None and envelope.tuples
         recovered.close()
 
-    def test_sharded_system_recovers_pending_pool(self, tmp_path):
-        system = build_system(tmp_path, match_workers=2, fsync_policy="batch")
-        load_base_data(system)
-        handles = system.submit_many(
-            [booking_sql(f"solo-{i}", f"ghost-{i}") for i in range(6)]
-        )
-        assert system.drain(10.0)
-        assert all(handle.status is QueryStatus.PENDING for handle in handles)
-        crash(system)
-
-        recovered = build_system(tmp_path, match_workers=2, fsync_policy="batch")
-        assert {q.query_id for q in recovered.pending_queries()} == {
-            handle.query_id for handle in handles
-        }
-        partner = recovered.submit_entangled(booking_sql("ghost-3", "solo-3"))
-        assert recovered.drain(10.0)
-        assert recovered.status(partner.query_id) is QueryStatus.ANSWERED
-        recovered.close()
-
     def test_close_checkpoints_cleanly(self, tmp_path):
         system = build_system(tmp_path)
         load_base_data(system)

@@ -40,7 +40,7 @@ def manager():
 
 @pytest.fixture
 def pool(manager):
-    return manager.new_pool()
+    return manager.pool
 
 
 class TestStub:
@@ -159,7 +159,7 @@ class TestTieredPool:
 
     def test_lru_touch_changes_victim(self):
         manager = TieringManager(MemoryPendingStore(), memory_limit=2, eviction_policy="lru")
-        pool = manager.new_pool()
+        pool = manager.pool
         first, second, third = (compile_parked(index) for index in range(3))
         pool[first.query_id] = first
         pool[second.query_id] = second
@@ -171,7 +171,7 @@ class TestTieredPool:
 
     def test_fifo_ignores_touches(self):
         manager = TieringManager(MemoryPendingStore(), memory_limit=2, eviction_policy="fifo")
-        pool = manager.new_pool()
+        pool = manager.pool
         first, second, third = (compile_parked(index) for index in range(3))
         pool[first.query_id] = first
         pool[second.query_id] = second
@@ -198,33 +198,16 @@ class TestTieringManager:
             TieringManager(MemoryPendingStore(), memory_limit=4, eviction_policy="random")
         assert set(EVICTION_POLICIES) == {"lru", "fifo"}
 
-    def test_capacity_splits_across_pools(self):
-        manager = TieringManager(MemoryPendingStore(), memory_limit=8)
-        first = manager.new_pool()
-        assert manager.capacity == 8
-        manager.new_pool()
-        assert manager.capacity == 4
-        manager.new_pool()
-        manager.new_pool()
-        assert manager.capacity == 2
-        manager.drop_pool(first)
-        assert manager.capacity == 2  # 8 // 3
-        manager.close()
-
     def test_capacity_floor_is_one(self):
-        manager = TieringManager(MemoryPendingStore(), memory_limit=2)
-        for _ in range(4):
-            manager.new_pool()
-        assert manager.capacity == 1
-        manager.close()
-
-    def test_drop_pool_refuses_non_empty(self):
-        manager = TieringManager(MemoryPendingStore(), memory_limit=4)
-        pool = manager.new_pool()
-        query = compile_parked(0)
-        pool[query.query_id] = query
-        manager.drop_pool(pool)
-        assert manager.statistics()["pools"] == 1
+        # the smallest legal budget still keeps the query being matched hot
+        manager = TieringManager(MemoryPendingStore(), memory_limit=1)
+        pool = manager.pool
+        first, second = compile_parked(0), compile_parked(1)
+        pool[first.query_id] = first
+        pool[second.query_id] = second
+        assert pool.hot_count() == 1
+        assert pool.get(first.query_id) is not None
+        assert not pool.is_cold(first.query_id) and pool.is_cold(second.query_id)
         manager.close()
 
     def test_statistics_shape(self, manager, pool):
@@ -237,7 +220,6 @@ class TestTieringManager:
         assert stats["memory_limit"] == 3
         assert stats["eviction_policy"] == "lru"
         assert stats["backend"] == "memory"
-        assert stats["pools"] == 1
         assert stats["hot"] + stats["cold"] == 5
         assert stats["hot"] <= 3
         assert stats["peak_hot"] >= stats["hot"]
@@ -381,16 +363,3 @@ class TestCoordinatorIntegration:
             assert recovered.coordinator.request(parked_ids[0]).is_answered
         finally:
             recovered.close()
-
-    def test_sharded_coordinator_splits_budget(self):
-        system = build_system(pending_memory_limit=6, match_workers=2, shard_count=2)
-        try:
-            for index in range(12):
-                system.submit_entangled(parked_sql(index), owner=f"U{index}")
-            system.coordinator.drain(10)
-            stats = system.coordinator.tiering_statistics()
-            assert stats["pools"] == 3  # two shards + the global residence
-            assert stats["hot"] <= 6
-            assert stats["hot"] + stats["cold"] == 12
-        finally:
-            system.close()

@@ -206,6 +206,19 @@ class TestIndexes:
         rows = flights.lookup_equal({"dest": "Rome", "price": 300.0})
         assert [row["fno"] for row in rows] == [136]
 
+    def test_scan_survives_a_write_between_two_rows(self, flights: Table):
+        """Plain DML on another thread may land in the middle of a grounding
+        scan; the scan reads the rows as they were when it started."""
+
+        class WriteOnCompare:
+            def __eq__(self, other: object) -> bool:
+                if len(flights) == 3:
+                    flights.insert((140, "Oslo", 90.0))
+                return False
+
+        assert flights.lookup_equal({"dest": WriteOnCompare()}) == []
+        assert len(flights) == 4
+
     def test_index_maintained_across_mutations(self, flights: Table):
         flights.create_index("by_dest", ["dest"])
         flights.insert((140, "Paris", 620.0))
