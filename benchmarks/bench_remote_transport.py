@@ -16,8 +16,11 @@ pairs over one Flights table):
   2× so a real regression (say, a per-item frame creeping back in) trips it,
   and the JSON artifact records the original target for the trajectory.
 
+The server is the asyncio :class:`~repro.service.aio.BackgroundAsyncServer`
+and the client the synchronous :class:`~repro.service.remote.RemoteService`.
+
 Set ``BENCH_REMOTE_JSON=/path/out.json`` to dump the raw numbers (the CI
-remote-conformance job uploads this as an artifact).
+async-conformance job uploads this as an artifact).
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import os
 import time
 
 from repro.service import InProcessService, SubmitRequest, SystemConfig
-from repro.service.remote import CoordinationServer, RemoteService
+from repro.service.aio import BackgroundAsyncServer
+from repro.service.remote import RemoteService
 
 NUM_PAIRS = 100
 LATENCY_PAIRS = 30
@@ -67,8 +71,8 @@ def fresh_inprocess() -> InProcessService:
     return service
 
 
-def fresh_remote() -> tuple[CoordinationServer, RemoteService]:
-    server = CoordinationServer(config=SystemConfig(seed=0))
+def fresh_remote() -> tuple[BackgroundAsyncServer, RemoteService]:
+    server = BackgroundAsyncServer(config=SystemConfig(seed=0))
     host, port = server.start()
     client = RemoteService.connect(host, port)
     client.execute_script(SETUP)

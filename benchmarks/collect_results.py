@@ -2,10 +2,9 @@
 
 Each benchmark job in CI writes its raw numbers to a standalone JSON file
 (``bench_batch_submit.json``, ``bench_matching_policies.json``,
-``bench_remote_transport.json``, ``bench_connection_scaling.json``,
-``bench_cluster_scaling.json``, ``bench_durability.json``,
-``bench_tiered_pool.json``, ``bench_scalability.json``,
-``bench_figure1.json``).  This script folds them into a single
+``bench_remote_transport.json``, ``bench_cluster_scaling.json``,
+``bench_durability.json``, ``bench_tiered_pool.json``,
+``bench_scalability.json``, ``bench_figure1.json``).  This script folds them into a single
 ``bench-trajectory.json`` so one artifact tracks the performance trajectory
 of the whole system per commit::
 

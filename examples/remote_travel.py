@@ -5,7 +5,8 @@ coordination service on behalf of many users.  This example makes the process
 split real:
 
 * a **server process** (this script re-invoked with ``--serve``) hosts the
-  Youtopia system behind a ``CoordinationServer`` on an ephemeral TCP port;
+  Youtopia system behind the ``serve`` sub-command's server
+  (``repro.apps.cli.build_server``) on an ephemeral TCP port;
 * the **client process** opens two independent ``RemoteService`` connections
   — Jerry's and Kramer's app sessions — and coordinates a flight booking
   between them, never touching the database in its own address space.
@@ -24,9 +25,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.apps.cli import build_server  # noqa: E402
 from repro.errors import ServiceUnavailableError  # noqa: E402
-from repro.service import InProcessService, SubmitRequest, SystemConfig  # noqa: E402
-from repro.service.remote import CoordinationServer, RemoteService  # noqa: E402
+from repro.service import SubmitRequest  # noqa: E402
+from repro.service.remote import RemoteService  # noqa: E402
 
 SCHEMA = """
 CREATE TABLE Flights (fno INT PRIMARY KEY, dest TEXT, price INT, seats INT);
@@ -48,11 +50,12 @@ def booking_sql(traveler: str, companion: str, dest: str, max_price: int) -> str
 
 def serve() -> int:
     """The server process: load the schema, listen, print the port."""
-    service = InProcessService(config=SystemConfig(seed=42))
-    service.execute_script(SCHEMA)
-    service.declare_answer_relation("Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"])
-    server = CoordinationServer(service=service, port=0, close_service=True)
-    _host, port = server.start()
+    server = build_server(port=0, seed=42)
+    server.service.execute_script(SCHEMA)
+    server.service.declare_answer_relation(
+        "Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"]
+    )
+    _host, port = server.address
     print(f"PORT {port}", flush=True)
     server.wait_stopped()
     return 0

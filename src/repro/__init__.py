@@ -68,12 +68,10 @@ from repro.errors import YoutopiaError
 from repro.relalg import QueryEngine, QueryResult
 from repro.service import (
     AnswerEnvelope,
-    CoordinationServer,
     CoordinationService,
     InProcessService,
     IntrospectionService,
     RelationResult,
-    RemoteHandle,
     RemoteService,
     RequestHandle,
     ServiceStats,
@@ -88,7 +86,6 @@ __all__ = [
     "AnswerEnvelope",
     "AnswerRelationRegistry",
     "CoordinationRequest",
-    "CoordinationServer",
     "CoordinationService",
     "Coordinator",
     "Database",
@@ -105,7 +102,6 @@ __all__ = [
     "QueryResult",
     "QueryStatus",
     "RelationResult",
-    "RemoteHandle",
     "RemoteService",
     "RequestHandle",
     "ServiceStats",

@@ -18,7 +18,7 @@ Sub-commands of :func:`main`:
 
 * ``youtopia-cli`` — interactive shell on a fresh in-process system;
 * ``youtopia-cli serve [--host] [--port] [--seed] [--script file.sql]`` —
-  host a :class:`~repro.service.remote.CoordinationServer` (with
+  host an :class:`~repro.service.aio.AsyncCoordinationServer` (with
   ``--cluster-node I/N`` to serve as a cluster member, or ``--standby-of
   HOST:PORT`` to serve as a WAL-shipped read-only standby);
 * ``youtopia-cli router --node HOST:PORT [--node ...]`` — run the
@@ -37,10 +37,10 @@ from repro.core.config import SystemConfig
 from repro.core.coordinator import QueryStatus
 from repro.core.system import YoutopiaSystem
 from repro.errors import YoutopiaError
-from repro.service.aio import BackgroundAsyncServer, BridgedService, connect_bridged
+from repro.service.aio import BackgroundAsyncServer
 from repro.service.api import RelationResult
 from repro.service.inprocess import InProcessService
-from repro.service.remote import CoordinationServer, RemoteService
+from repro.service.remote import RemoteService
 
 _HELP_TEXT = """\
 Youtopia SQL command line.
@@ -86,9 +86,7 @@ class CommandLine:
 
     def __init__(
         self,
-        system: Optional[
-            Union[YoutopiaSystem, InProcessService, RemoteService, BridgedService]
-        ] = None,
+        system: Optional[Union[YoutopiaSystem, InProcessService, RemoteService]] = None,
         user: Optional[str] = None,
     ) -> None:
         if system is None:
@@ -128,7 +126,7 @@ class CommandLine:
         for result in self.service.execute_script(sql, owner=self.user):
             if isinstance(result, RelationResult):
                 outputs.append(self._format_query_result(result))
-            else:  # a handle — in-process RequestHandle or RemoteHandle
+            else:  # a handle — in-process or remote
                 outputs.append(self._format_request(result))
         return "\n".join(output for output in outputs if output)
 
@@ -288,11 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=7399, help="port to bind (0 = ephemeral)")
     serve.add_argument(
         "--transport",
-        choices=["threaded", "asyncio"],
-        default="threaded",
-        help="request plane: classic thread-per-connection server, or the "
-        "single-event-loop asyncio server (same wire protocol; any client "
-        "connects to either)",
+        choices=["asyncio"],
+        default="asyncio",
+        help="request plane; asyncio is the only one (the flag is accepted "
+        "for existing command lines)",
     )
     serve.add_argument("--seed", type=int, default=None, help="CHOOSE tie-break seed")
     serve.add_argument(
@@ -418,13 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     connect = commands.add_parser("connect", help="open a shell against a remote server")
     connect.add_argument("--host", default="127.0.0.1", help="server host")
     connect.add_argument("--port", type=int, default=7399, help="server port")
-    connect.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="connect through the multiplexed asyncio client "
-        "(AsyncRemoteService behind a synchronous shell bridge)",
-    )
     return parser
 
 
@@ -436,7 +426,7 @@ def build_server(
     data_dir: Optional[str] = None,
     fsync_policy: str = "batch",
     snapshot_interval: int = 1000,
-    transport: str = "threaded",
+    transport: str = "asyncio",
     cluster_node: Optional[str] = None,
     standby_of: Optional[str] = None,
     match_policy: str = "first_match",
@@ -444,7 +434,7 @@ def build_server(
     pending_memory_limit: Optional[int] = None,
     cold_store: str = "sqlite",
     eviction_policy: str = "lru",
-) -> Union[CoordinationServer, BackgroundAsyncServer]:
+) -> BackgroundAsyncServer:
     """Assemble (and start) the server the ``serve`` sub-command runs.
 
     ``cluster_node`` (``"I/N"``) tags the served system as member ``I`` of an
@@ -453,12 +443,10 @@ def build_server(
     that primary instead (see :class:`repro.cluster.StandbyServer`); the call
     returns once the bootstrap snapshot is applied.
 
-    ``transport`` selects the request plane: ``"threaded"`` (the classic
-    thread-per-connection :class:`~repro.service.remote.CoordinationServer`)
-    or ``"asyncio"`` (the single-event-loop
-    :class:`~repro.service.aio.AsyncCoordinationServer`, hosted here on a
-    background loop thread).  Both speak the same wire protocol, so any
-    client connects to either.
+    The server is an :class:`~repro.service.aio.AsyncCoordinationServer`
+    hosted on a background loop thread.  ``transport`` has one value,
+    ``"asyncio"``; it mirrors the ``serve --transport`` flag, which existing
+    command lines still pass.
 
     With ``data_dir`` the system journals every state transition to a
     write-ahead log and recovers it on restart.  The ``--script`` bootstrap
@@ -520,13 +508,7 @@ def build_server(
         }
     if script:
         service = _bootstrap(service, config, script, data_dir)
-    server: Union[CoordinationServer, BackgroundAsyncServer]
-    if transport == "asyncio":
-        server = BackgroundAsyncServer(
-            service=service, host=host, port=port, close_service=True
-        )
-    else:
-        server = CoordinationServer(service=service, host=host, port=port, close_service=True)
+    server = BackgroundAsyncServer(service=service, host=host, port=port, close_service=True)
     server.start()
     return server
 
@@ -686,16 +668,9 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - interac
             router.stop()
         return 0
     if args.command == "connect":
-        service: Union[RemoteService, BridgedService]
-        if args.use_async:
-            service = connect_bridged(args.host, args.port)
-            flavour = " (asyncio client)"
-        else:
-            service = RemoteService.connect(args.host, args.port)
-            flavour = ""
         return _repl(
-            CommandLine(service),
-            f"Youtopia SQL shell — connected to {args.host}:{args.port}{flavour}; "
+            CommandLine(RemoteService.connect(args.host, args.port)),
+            f"Youtopia SQL shell — connected to {args.host}:{args.port}; "
             ".help for help, .quit to exit",
         )
     return _repl(CommandLine(), "Youtopia SQL shell — type .help for help, .quit to exit")

@@ -2,7 +2,7 @@
 
 :class:`ClusterRouter` is an :class:`~repro.service.aio.server.AsyncServerBase`
 speaking the unchanged :mod:`repro.service.remote.codec` protocol — any
-existing client (threaded or asyncio) connects to it exactly as it would to a
+existing client (sync or asyncio) connects to it exactly as it would to a
 single coordination server.  Behind the listener it holds one multiplexed
 :class:`~repro.service.aio.client.AsyncRemoteService` connection per member
 node and:

@@ -7,12 +7,16 @@ applied through the same :func:`~repro.core.durability.apply_wal_record` /
 :func:`~repro.core.durability.apply_snapshot_state` primitives crash recovery
 uses — replica replay *is* recovery, run continuously.
 
-While following, the standby is **read-only**: introspection ops (requests,
+The standby serves the ordinary asyncio request plane
+(:class:`~repro.service.aio.AsyncCoordinationServer`, hosted on its own loop
+thread by :class:`~repro.service.aio.BackgroundAsyncServer`), while a
+:class:`StandbyFollower` thread reads the primary's log stream.  While
+following, the standby is **read-only**: introspection ops (requests,
 answers, stats, pending_queries) serve from replicated state, but mutating
 ops raise :class:`~repro.errors.ServiceUnavailableError` — accepting a submit
 the primary never logged would fork history.  The replica also never matches
-spontaneously (its coordinator runs inline with no match workers and sees no
-submissions), so its answer state is exactly the primary's logged prefix.
+spontaneously (its coordinator sees no submissions), so its answer state is
+exactly the primary's logged prefix.
 
 On primary failure, ``promote`` turns the replica into a primary: the
 follower stream stops, the query-id counter is advanced past every replayed
@@ -35,9 +39,9 @@ from repro.core.durability import (
     apply_wal_record,
 )
 from repro.errors import ServiceUnavailableError
+from repro.service.aio.server import AsyncCoordinationServer, BackgroundAsyncServer
 from repro.service.inprocess import InProcessService
 from repro.service.remote import codec
-from repro.service.remote.server import CoordinationServer, _ClientConnection
 
 from repro.cluster.shipping import WalStream
 
@@ -124,7 +128,40 @@ class StandbyFollower(threading.Thread):
         self._stream.close()
 
 
-class StandbyServer(CoordinationServer):
+class _ReadOnlyUntilPromoted(AsyncCoordinationServer):
+    """The standby's request plane: refuses mutations until promoted."""
+
+    def __init__(self, standby: "StandbyServer", **kwargs: Any) -> None:
+        super().__init__(**kwargs)
+        self._standby = standby
+
+    async def _handle_request(self, connection: Any, frame: dict[str, Any]) -> None:
+        if self._standby.promoted or frame.get("op") not in _MUTATING_OPS:
+            await super()._handle_request(connection, frame)
+            return
+        follower = self._standby.follower
+        frame_id = frame.get("id")
+        self.metrics.request_started()
+        try:
+            connection.send(
+                codec.error_frame(
+                    frame_id if isinstance(frame_id, int) else -1,
+                    ServiceUnavailableError(
+                        "standby is read-only until promoted "
+                        f"(following {follower.primary_host}:{follower.primary_port})"
+                    ),
+                )
+            )
+        finally:
+            self.metrics.request_finished()
+            connection.in_flight -= 1
+
+    async def _op_promote(self, _connection: Any) -> dict[str, Any]:
+        # promotion waits up to its drain grace: never on the loop
+        return await self.aservice._run(self._standby.promote)
+
+
+class StandbyServer(BackgroundAsyncServer):
     """A read-only replica server that can be promoted to primary.
 
     Wire-compatible with every client: introspection works while following,
@@ -141,11 +178,20 @@ class StandbyServer(CoordinationServer):
         port: int = 0,
         service: Optional[InProcessService] = None,
     ) -> None:
-        super().__init__(service=service, host=host, port=port)
+        owns_service = service is None
+        service = service or InProcessService()
+        super().__init__(
+            server_factory=_ReadOnlyUntilPromoted,
+            standby=self,
+            service=service,
+            host=host,
+            port=port,
+            close_service=owns_service,
+        )
         self.promoted = False
         self.promoted_at: Optional[float] = None
-        self.follower = StandbyFollower(self.service, primary_host, primary_port)
-        self.service.cluster_info = self._cluster_info
+        self.follower = StandbyFollower(service, primary_host, primary_port)
+        service.cluster_info = self._cluster_info
 
     def start(self) -> tuple[str, int]:
         address = super().start()
@@ -165,29 +211,6 @@ class StandbyServer(CoordinationServer):
         if ok and self.follower.error is not None:
             raise self.follower.error
         return ok
-
-    # -- the read-only guard -----------------------------------------------------------------
-
-    def _handle_request(self, connection: _ClientConnection, frame: dict[str, Any]) -> None:
-        op = frame.get("op")
-        if not self.promoted and op in _MUTATING_OPS:
-            frame_id = frame.get("id")
-            self.metrics.request_started()
-            try:
-                connection.send(
-                    codec.error_frame(
-                        frame_id if isinstance(frame_id, int) else -1,
-                        ServiceUnavailableError(
-                            "standby is read-only until promoted "
-                            f"(following {self.follower.primary_host}:"
-                            f"{self.follower.primary_port})"
-                        ),
-                    )
-                )
-            finally:
-                self.metrics.request_finished()
-            return
-        super()._handle_request(connection, frame)
 
     # -- promotion ---------------------------------------------------------------------------
 
@@ -236,9 +259,6 @@ class StandbyServer(CoordinationServer):
             "requests": len(coordinator.requests()),
             "replay_errors": list(self.follower.report.replay_errors),
         }
-
-    def _op_promote(self, _connection: _ClientConnection) -> dict[str, Any]:
-        return self.promote()
 
     def _cluster_info(self) -> dict[str, Any]:
         return {

@@ -13,18 +13,18 @@ Public surface (also re-exported from the top-level :mod:`repro` package):
 * :class:`~repro.service.handles.RequestHandle` — future-style handles
 * :class:`~repro.service.inprocess.InProcessService` — the in-process
   implementation
-* :class:`~repro.service.remote.CoordinationServer` /
-  :class:`~repro.service.remote.RemoteService` — the JSON-over-TCP network
-  transport (same protocols, remote system)
 * the asyncio surface (:mod:`repro.service.aio`):
   :class:`~repro.service.aio.AsyncCoordinationService` protocols, awaitable
   :class:`~repro.service.aio.AsyncRequestHandle` objects,
-  :class:`~repro.service.aio.AsyncInProcessService`, and the multiplexed
-  single-event-loop network plane
-  (:class:`~repro.service.aio.AsyncCoordinationServer` /
-  :class:`~repro.service.aio.AsyncRemoteService`) over the same wire codec
+  :class:`~repro.service.aio.AsyncInProcessService`, and the single-event-loop
+  JSON-over-TCP network plane (:class:`~repro.service.aio.AsyncCoordinationServer`
+  / :class:`~repro.service.aio.BackgroundAsyncServer` and the multiplexed
+  :class:`~repro.service.aio.AsyncRemoteService` client)
+* :class:`~repro.service.remote.RemoteService` — the synchronous network
+  client (same protocols, remote system), a
+  :class:`~repro.service.aio.BridgedService` over one async connection
 * :class:`~repro.service.metrics.TransportMetrics` — request-plane counters
-  both servers publish through :attr:`~repro.service.api.ServiceStats.transport`
+  the server publishes through :attr:`~repro.service.api.ServiceStats.transport`
 * :class:`~repro.core.config.SystemConfig` — typed system configuration
 
 See ``docs/API.md`` for the full contract, the remote deployment guide and
@@ -44,7 +44,6 @@ from repro.service.aio import (
     BackgroundAsyncServer,
     BridgedService,
     connect_async,
-    connect_bridged,
 )
 from repro.service.api import (
     AnswerEnvelope,
@@ -58,13 +57,7 @@ from repro.service.api import (
 from repro.service.handles import RequestHandle
 from repro.service.inprocess import InProcessService
 from repro.service.metrics import TransportMetrics
-from repro.service.remote import (
-    CoordinationServer,
-    RemoteHandle,
-    RemoteService,
-    connect,
-    serve,
-)
+from repro.service.remote import RemoteService
 
 __all__ = [
     "AnswerEnvelope",
@@ -77,12 +70,10 @@ __all__ = [
     "AsyncRequestHandle",
     "BackgroundAsyncServer",
     "BridgedService",
-    "CoordinationServer",
     "CoordinationService",
     "InProcessService",
     "IntrospectionService",
     "RelationResult",
-    "RemoteHandle",
     "RemoteService",
     "RequestHandle",
     "ServiceStats",
@@ -90,8 +81,5 @@ __all__ = [
     "SubmitRequest",
     "SystemConfig",
     "TransportMetrics",
-    "connect",
     "connect_async",
-    "connect_bridged",
-    "serve",
 ]

@@ -10,20 +10,21 @@ an async call surface, and a single-event-loop network plane.
 * :class:`~repro.service.aio.inprocess.AsyncInProcessService` — in-process
   implementation (compute on an executor, waits callback-driven)
 * :class:`~repro.service.aio.server.AsyncCoordinationServer` /
-  :class:`~repro.service.aio.server.BackgroundAsyncServer` — the asyncio
-  network server (same wire protocol as the threaded one)
+  :class:`~repro.service.aio.server.BackgroundAsyncServer` — the network
+  server (the only one; it also ships the WAL to standbys)
 * :class:`~repro.service.aio.client.AsyncRemoteService` /
   :class:`~repro.service.aio.client.AsyncRemoteHandle` — the multiplexed
   asyncio client
 * :class:`~repro.service.aio.bridge.BridgedService` — a synchronous facade
-  over any async service (CLI ``connect --async``, conformance runs)
+  over any async service; ``BridgedService.connect`` is the synchronous
+  network client (:class:`~repro.service.remote.RemoteService`)
 
 See ``docs/API.md`` ("Async quickstart") and ``docs/ARCHITECTURE.md``
 ("The request plane") for the contract and the backpressure rules.
 """
 
 from repro.service.aio.api import AsyncCoordinationService, AsyncIntrospectionService
-from repro.service.aio.bridge import BridgedHandle, BridgedService, connect_bridged
+from repro.service.aio.bridge import BridgedHandle, BridgedService
 from repro.service.aio.client import AsyncRemoteHandle, AsyncRemoteService, connect_async
 from repro.service.aio.handles import AsyncRequestHandle
 from repro.service.aio.inprocess import AsyncInProcessService
@@ -46,5 +47,4 @@ __all__ = [
     "BridgedHandle",
     "BridgedService",
     "connect_async",
-    "connect_bridged",
 ]

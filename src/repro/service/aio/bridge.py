@@ -4,20 +4,21 @@
 projects an :class:`~repro.service.aio.api.AsyncCoordinationService` /
 :class:`~repro.service.aio.api.AsyncIntrospectionService` implementation
 back onto the *synchronous* service surface — the inverse adapter of
-:class:`~repro.service.aio.inprocess.AsyncInProcessService`.  Two users:
+:class:`~repro.service.aio.inprocess.AsyncInProcessService`.
 
-* ``youtopia-cli connect --async`` — the interactive shell is synchronous,
-  the transport underneath is the multiplexed
-  :class:`~repro.service.aio.client.AsyncRemoteService`;
-* the conformance suite's *async-adapter runner* — the transport-agnostic
-  scenario classes in ``tests/service_conformance.py`` are written against
-  the sync protocol; bridging lets the very same scenarios certify the
-  async stack.
+Its main use is the synchronous network client: :meth:`BridgedService.connect`
+(published as :class:`~repro.service.remote.RemoteService`) wraps one
+multiplexed :class:`~repro.service.aio.client.AsyncRemoteService`
+connection, so application code written against the in-process service —
+the CLI shell, the examples, the conformance scenarios — runs against a
+remote one unchanged.  ``result()`` and ``add_done_callback`` stay
+push-driven, and a lost connection fails every in-flight call and pending
+handle fast with :class:`~repro.errors.ServiceUnavailableError`.
 
 Completion callbacks registered through a :class:`BridgedHandle` run on a
-dedicated dispatcher thread (mirroring the sync remote client), so a
-callback may freely call back into the bridged service — running it on the
-loop thread would deadlock the first nested synchronous call.
+dedicated dispatcher thread, so a callback may freely call back into the
+bridged service — running it on the loop thread would deadlock the first
+nested synchronous call.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import threading
 from typing import Any, Callable, Coroutine, Optional, Sequence, TypeVar, Union
 
 from repro.core import ir
+from repro.errors import ServiceUnavailableError
 from repro.service.api import (
     AnswerEnvelope,
     RelationResult,
@@ -180,10 +182,26 @@ class BridgedService:
             self._teardown()
             raise
 
+    @classmethod
+    def connect(
+        cls, host: str = "127.0.0.1", port: int = 7399, connect_timeout: Optional[float] = 5.0
+    ) -> "BridgedService":
+        """Open a synchronous client over an :class:`AsyncRemoteService` connection."""
+        from repro.service.aio.client import AsyncRemoteService
+
+        return cls(
+            service_factory=lambda: AsyncRemoteService.connect(
+                host=host, port=port, connect_timeout=connect_timeout
+            )
+        )
+
     # -- plumbing -------------------------------------------------------------------------------
 
     def run(self, coro: Coroutine[Any, Any, _T]) -> _T:
         """Run one coroutine on the bridge loop and block for its result."""
+        if self._closed:
+            coro.close()
+            raise ServiceUnavailableError("the service was closed by this client")
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
     def call_on_loop(self, fn: Callable[[], Any]) -> None:
@@ -212,10 +230,10 @@ class BridgedService:
     def close(self) -> None:
         if self._closed:
             return
-        self._closed = True
         try:
             self.run(self.aservice.close())
         finally:
+            self._closed = True
             self._teardown()
 
     def _teardown(self) -> None:
@@ -306,19 +324,20 @@ class BridgedService:
     def retry_pending(self) -> int:
         return int(self.run(self.aservice.retry_pending()))
 
+    # -- remote connections only ---------------------------------------------------------------
+
+    @property
+    def frames_sent(self) -> int:
+        """Request frames the connection wrote (one per ``submit_many`` batch)."""
+        return self.aservice.frames_sent
+
+    def shutdown_server(self) -> None:
+        """Ask the server to stop (it answers, then closes every connection)."""
+        self.run(self.aservice.shutdown_server())
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BridgedService({self.aservice!r})"
 
 
-def connect_bridged(
-    host: str = "127.0.0.1", port: int = 7399, connect_timeout: Optional[float] = 5.0
-) -> BridgedService:
-    """A synchronous facade over an :class:`AsyncRemoteService` connection
-    (what ``youtopia-cli connect --async`` uses)."""
-    from repro.service.aio.client import AsyncRemoteService
-
-    return BridgedService(
-        service_factory=lambda: AsyncRemoteService.connect(
-            host=host, port=port, connect_timeout=connect_timeout
-        )
-    )
+#: The synchronous network client: ``RemoteService.connect(host, port)``.
+RemoteService = BridgedService

@@ -1,17 +1,15 @@
-"""The asyncio network plane: one event loop instead of a thread per socket.
+"""The network request plane: one event loop instead of a thread per socket.
 
-:class:`AsyncCoordinationServer` hosts the same in-process coordination
-service as the threaded :class:`~repro.service.remote.CoordinationServer`,
-over the **same wire codec** (:mod:`repro.service.remote.codec`) — a sync
-:class:`~repro.service.remote.RemoteService` client connects to either server
-and cannot tell them apart.  What changes is the request plane:
+:class:`AsyncCoordinationServer` puts an in-process coordination service
+(and therefore the coordinator behind it) behind a TCP socket speaking the
+:mod:`repro.service.remote.codec` wire protocol:
 
 * one event loop owns every connection — no reader thread per socket, no
   handler thread per request;
 * each decoded request becomes a task, so a blocking operation (``wait``)
-  on one connection never stalls other requests on the same connection —
-  the multiplexing contract of the threaded server, at a fraction of the
-  cost;
+  on one connection never stalls other requests on the same connection — a
+  client may wait in one thread and cancel from another, exactly as against
+  the in-process service;
 * **bounded in-flight concurrency**: a connection may have at most
   ``max_in_flight`` requests being handled; requests beyond the budget are
   *rejected* with a typed
@@ -23,22 +21,34 @@ and cannot tell them apart.  What changes is the request plane:
   wrapped :class:`~repro.service.aio.inprocess.AsyncInProcessService`'s
   executor; cheap introspection reads (``stats``, ``answers``, ``hello``)
   are served inline on the loop;
-* ``wait`` is served by the coordinator's completion callbacks bridged onto
-  the loop — ten thousand clients awaiting pending queries hold ten thousand
-  futures, zero server threads.
+* for every handle a client holds, the server registers a coordinator
+  done-callback that **pushes** the final request state to that client the
+  moment the query is answered, cancelled or rejected, and ``wait`` is
+  served by the same callbacks bridged onto the loop — ten thousand clients
+  awaiting pending queries hold ten thousand futures, zero server threads;
+* ``wal_subscribe`` turns a connection into a standby's log stream (see
+  :class:`_WalShipper`).
+
+Entangled submissions travel as SQL text and are compiled server-side; a
+client that pre-compiled IR sends the IR's SQL together with its query id,
+which the server grafts back onto the compiled query so id-based semantics
+(duplicate detection, introspection) are preserved end-to-end.
 
 :class:`BackgroundAsyncServer` runs the whole thing on a dedicated
-event-loop thread behind the threaded server's synchronous ``start`` /
-``stop`` / ``wait_stopped`` surface, so the CLI, tests and benchmarks can
-swap transports with one flag.
+event-loop thread behind a synchronous ``start`` / ``stop`` /
+``wait_stopped`` surface, for the CLI, tests and benchmarks.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import os
+import socket
 import threading
 from typing import Any, Optional, Sequence
 
+from repro.core.compiler import compile_entangled
 from repro.core.config import SystemConfig
 from repro.errors import ProtocolError, ServiceUnavailableError
 from repro.service.aio.handles import AsyncRequestHandle
@@ -47,7 +57,6 @@ from repro.service.handles import RequestHandle
 from repro.service.inprocess import InProcessService
 from repro.service.metrics import TransportMetrics
 from repro.service.remote import codec
-from repro.service.remote.server import CoordinationServer
 
 #: Default per-connection in-flight request budget.  Far above what a
 #: well-behaved client pipelines, far below what an unbounded queue would
@@ -404,10 +413,14 @@ class AsyncCoordinationServer(AsyncServerBase):
     ) -> dict[str, Any]:
         """Snapshot a request and arrange a push once it turns terminal.
 
-        Same decision rule as the threaded server: watch on a *pending*
-        snapshot only, one watch per (connection, query).  The coordinator
-        callback fires in a completing thread; the encoded push frame hops
-        onto the loop thread-safely and leaves through the outbox.
+        The watch decision is made on the *snapshot*, not the live record: a
+        query that completes between the snapshot and the callback
+        registration still gets its push (``add_done_callback`` fires
+        immediately for terminal queries), while a snapshot that is already
+        terminal needs no watch — the client resolves it locally.  One watch
+        per (connection, query).  The coordinator callback fires in a
+        completing thread; the encoded push frame hops onto the loop
+        thread-safely and leaves through the outbox.
         """
         state = codec.encode_request_state(handle)
         if state["status"] == "pending" and connection.claim_watch(handle.query_id):
@@ -426,7 +439,7 @@ class AsyncCoordinationServer(AsyncServerBase):
             self.service.coordinator.add_done_callback(handle.query_id, push)
         return state
 
-    # -- operations (same names and wire shapes as the threaded server) ----------------------
+    # -- operations --------------------------------------------------------------------------
 
     def _fastop_hello(self, _connection: _AsyncConnection) -> dict[str, Any]:
         return {
@@ -442,8 +455,28 @@ class AsyncCoordinationServer(AsyncServerBase):
         handle = await self.aservice._run(self._compile_and_submit_one, item)
         return self._state_and_watch(connection, handle)
 
+    @staticmethod
+    def _compile_item(item: Any) -> Any:
+        """One wire submission ``{"sql", "owner", "query_id"?, "priority"?}`` → IR."""
+        if not isinstance(item, dict):
+            raise ProtocolError(f"submission items must be objects, got {type(item).__name__}")
+        sql = item.get("sql")
+        if not isinstance(sql, str) or not sql.strip():
+            raise ProtocolError("submission item carries no SQL text")
+        query = compile_entangled(sql, owner=item.get("owner"))
+        query_id = item.get("query_id")
+        if query_id:
+            query = dataclasses.replace(query, query_id=str(query_id))
+        priority = item.get("priority")
+        if priority is not None:
+            try:
+                query = dataclasses.replace(query, priority=float(priority))
+            except (TypeError, ValueError):
+                raise ProtocolError(f"submission priority must be numeric, got {priority!r}")
+        return query
+
     def _compile_and_submit_one(self, item: Any) -> RequestHandle:
-        return self.service.submit(CoordinationServer._compile_item(item))
+        return self.service.submit(self._compile_item(item))
 
     async def _op_submit_many(
         self, connection: _AsyncConnection, items: Any = None
@@ -454,7 +487,7 @@ class AsyncCoordinationServer(AsyncServerBase):
         return [self._state_and_watch(connection, handle) for handle in handles]
 
     def _compile_and_submit_batch(self, items: list[Any]) -> list[RequestHandle]:
-        queries = [CoordinationServer._compile_item(item) for item in items]
+        queries = [self._compile_item(item) for item in items]
         return self.service.submit_many(queries)
 
     async def _op_wait(
@@ -563,19 +596,149 @@ class AsyncCoordinationServer(AsyncServerBase):
     async def _op_retry_pending(self, _connection: _AsyncConnection) -> int:
         return await self.aservice.retry_pending()
 
+    async def _op_wal_subscribe(self, connection: _AsyncConnection) -> dict[str, Any]:
+        """Hand a joining standby a consistent snapshot and stream the log.
+
+        The snapshot capture and the subscription happen atomically under
+        every coordination lock (see
+        :meth:`~repro.core.durability.DurabilityManager.subscribe_with_snapshot`),
+        so no record falls in the gap.  From then on the connection belongs
+        to the stream: every frame on it — this response included — is
+        written by a :class:`_WalShipper`.  Records appended *after* the cut
+        may reach the socket before this response does; the standby's
+        :class:`~repro.cluster.shipping.WalStream` parks those early pushes
+        until the response arrives and its LSN guard makes the order
+        harmless.
+        """
+        durability = self.service.system.durability
+        if durability is None:
+            raise ServiceUnavailableError(
+                "this server has no write-ahead log to ship (start it with --data-dir)"
+            )
+        shipper = await _WalShipper.take_over(connection, self.aservice)
+        state = await self.aservice._run(
+            durability.subscribe_with_snapshot, self.service.system, shipper.ship
+        )
+        return {"state": state, "last_lsn": int(state.get("last_lsn", 0))}
+
     async def _op_shutdown(self, _connection: _AsyncConnection) -> bool:
         # The response is written first; _handle_request then schedules stop().
         return True
 
 
+class _WalShipper:
+    """A standby's log stream: blocking writes on a duplicate of its socket.
+
+    The WAL calls :meth:`ship` inside ``append``, on the appending thread
+    and under the log and coordinator locks, and the record must be handed
+    to the kernel before ``append`` returns (**ship-before-ack**, see
+    :meth:`~repro.core.durability.WriteAheadLog.add_subscriber`).  The ship
+    therefore cannot wait on the event loop: the loop serves ``stats`` and
+    request snapshots inline, and those take the very locks the appending
+    thread holds, so a ship queued behind such a read would never run.
+    Instead the shipper owns a duplicate of the connection's socket and
+    writes each record with a blocking ``sendall``, serialised by its own
+    lock.
+
+    It also replaces the connection's stream writer, so the frames the
+    connection still sends through its outbox (the subscription response)
+    leave through the same lock on an executor thread and never interleave
+    with a record.  A standby that absorbs no :data:`SHIP_CHUNK` bytes
+    within :data:`SHIP_TIMEOUT_S`, or any send failure, closes the stream:
+    the ship returns ``False``, which unsubscribes it, and the primary keeps
+    acknowledging without the standby.
+    """
+
+    #: Longest the standby may take to absorb one chunk of a frame.
+    SHIP_TIMEOUT_S = 10.0
+    #: A large frame (the bootstrap snapshot) goes out in chunks of this
+    #: size, so the timeout bounds a stall, not the whole transfer.
+    SHIP_CHUNK = 1 << 20
+
+    def __init__(self, writer: asyncio.StreamWriter, run: Any, metrics: TransportMetrics) -> None:
+        self._writer = writer
+        self._run = run
+        self._metrics = metrics
+        self._loop_thread = threading.get_ident()  # built on the loop (take_over)
+        self._sock = socket.socket(fileno=os.dup(writer.get_extra_info("socket").fileno()))
+        # a timeout keeps the shared descriptor non-blocking for the loop
+        self._sock.settimeout(self.SHIP_TIMEOUT_S)
+        self._lock = threading.Lock()
+        self._closed = False
+        self._queued: list[bytes] = []
+
+    @classmethod
+    async def take_over(cls, connection: _AsyncConnection, aservice: Any) -> "_WalShipper":
+        """Flush what the connection already wrote, then route it through a shipper."""
+        writer = connection.writer
+        writer.transport.set_write_buffer_limits(high=0)
+        await writer.drain()  # with a zero high-water mark: until the buffer is empty
+        shipper = cls(writer, aservice._run, connection.server.metrics)
+        connection.writer = shipper  # type: ignore[assignment]
+        return shipper
+
+    def ship(self, record: dict[str, Any]) -> bool:
+        """The WAL subscriber: ``False`` once the stream is gone.
+
+        Every WAL append runs on an executor or caller thread (the loop's
+        inline ops are read-only).  An append on the loop thread would stall
+        every connection behind this socket; the assertion ends the stream
+        instead (the log drops a subscriber that raises).
+        """
+        assert threading.get_ident() != self._loop_thread, "WAL append on the event loop"
+        frame = codec.encode_frame(codec.push_frame("wal", record))
+        if not self._send(frame):
+            return False
+        self._metrics.add_bytes_out(len(frame))
+        return True
+
+    def _send(self, frame: bytes) -> bool:
+        with self._lock:
+            if self._closed:
+                return False
+            try:
+                for start in range(0, len(frame), self.SHIP_CHUNK):
+                    self._sock.sendall(frame[start : start + self.SHIP_CHUNK])
+                return True
+            except OSError:
+                # a timed-out send may have left half a frame behind: end
+                # the stream rather than let the standby read garbage
+                self._closed = True
+                self._shutdown()
+                return False
+
+    # -- the StreamWriter surface the connection's outbox uses ------------------------------
+
+    def write(self, frame: bytes) -> None:
+        self._queued.append(frame)
+
+    async def drain(self) -> None:
+        frames, self._queued = self._queued, []
+        for frame in frames:
+            if not await self._run(self._send, frame):
+                raise ConnectionError("the standby's log stream is closed")
+
+    def close(self) -> None:
+        self._closed = True
+        self._shutdown()  # wakes a ship blocked in sendall ...
+        with self._lock:  # ... so this waits for at most one failing send
+            self._sock.close()
+        self._writer.close()
+
+    def _shutdown(self) -> None:
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+
+
 class BackgroundAsyncServer:
     """An :class:`AsyncCoordinationServer` on its own event-loop thread.
 
-    Mirrors the threaded :class:`~repro.service.remote.CoordinationServer`'s
-    synchronous surface (``start`` → address, ``stop``, ``wait_stopped``,
-    ``address``, ``service``, ``metrics``, context manager), so callers pick
-    a transport without changing anything else.  The loop thread is created
-    on :meth:`start` and joined on :meth:`stop`.
+    A synchronous surface (``start`` → address, ``stop``, ``wait_stopped``,
+    ``address``, ``service``, ``metrics``, context manager) for callers that
+    are not coroutines themselves.  The loop thread is created on
+    :meth:`start` and joined on :meth:`stop`.
     """
 
     def __init__(self, server_factory: Any = None, **kwargs: Any) -> None:

@@ -10,26 +10,19 @@ deployment from the in-process one.
 
 * :mod:`repro.service.remote.codec` — the wire format: versioned
   request/response frames and typed error marshalling.
-* :class:`~repro.service.remote.server.CoordinationServer` — hosts one
-  :class:`~repro.service.InProcessService` behind a threaded socket accept
-  loop; pushes answer notifications to clients.
-* :class:`~repro.service.remote.client.RemoteService` — the client-side
-  implementation of the service protocols; ``submit``/``submit_many`` return
-  :class:`~repro.service.remote.client.RemoteHandle` objects whose
-  ``result()`` / ``add_done_callback`` are driven by server push, not polling.
+* :class:`RemoteService` — the synchronous client: ``RemoteService.connect(
+  host, port)`` returns a :class:`~repro.service.aio.bridge.BridgedService`
+  over one multiplexed :class:`~repro.service.aio.AsyncRemoteService`
+  connection; handles' ``result()`` / ``add_done_callback`` are driven by
+  server push, not polling.
 
-See the "Remote deployment" section of ``docs/API.md`` for the wire format
-and failure semantics, and ``examples/remote_travel.py`` for a two-process
+The server is :class:`~repro.service.aio.AsyncCoordinationServer`
+(synchronously: :class:`~repro.service.aio.BackgroundAsyncServer`).  See the
+"Remote deployment" section of ``docs/API.md`` for the wire format and
+failure semantics, and ``examples/remote_travel.py`` for a two-process
 walkthrough.
 """
 
-from repro.service.remote.client import RemoteHandle, RemoteService, connect
-from repro.service.remote.server import CoordinationServer, serve
+from repro.service.aio.bridge import RemoteService
 
-__all__ = [
-    "CoordinationServer",
-    "RemoteHandle",
-    "RemoteService",
-    "connect",
-    "serve",
-]
+__all__ = ["RemoteService"]

@@ -7,10 +7,9 @@ Three certifications of :class:`~repro.service.aio.AsyncCoordinationServer`:
   :class:`~repro.service.aio.AsyncRemoteService` connection bridged back to
   the synchronous scenario surface by
   :class:`~repro.service.aio.bridge.BridgedService`;
-* **wire compatibility** — the unchanged sync
-  :class:`~repro.service.remote.RemoteService` client runs conformance
-  scenarios against the asyncio server (the codec is shared, old clients
-  interoperate);
+* **the synchronous client** — :class:`~repro.service.remote.RemoteService`
+  (``BridgedService.connect``) runs a slice of the conformance scenarios
+  against the server;
 * **async-transport properties**: the 1-frame-per-batch invariant,
   push-driven (non-polling) awaits, shutdown-mid-await fail-fast, bounded
   in-flight backpressure, and transport metrics across the wire.
@@ -50,7 +49,6 @@ from repro.service.aio import (
     AsyncRemoteService,
     BackgroundAsyncServer,
     BridgedService,
-    connect_bridged,
 )
 
 
@@ -58,7 +56,7 @@ def start_stack(config: SystemConfig = SystemConfig(seed=0), **server_kwargs):
     """A started asyncio server plus one bridged async client."""
     server = BackgroundAsyncServer(config=config, **server_kwargs)
     host, port = server.start()
-    client = connect_bridged(host, port)
+    client = RemoteService.connect(host, port)
     return server, client
 
 
@@ -105,7 +103,7 @@ class TestAsyncRemotePolicy(PolicyConformance):
     pass
 
 
-# -- wire compatibility: the unchanged sync client against the asyncio server -------------------
+# -- the synchronous client against the asyncio server ----------------------------------------
 
 
 @pytest.fixture
@@ -121,14 +119,14 @@ def sync_client_stack():
 
 
 class TestSyncClientInterop:
-    """PR 3 clients speak to the asyncio server unchanged (shared codec)."""
+    """The synchronous client, built with ``RemoteService.connect``."""
 
     @pytest.fixture
     def service(self, sync_client_stack):
         _server, client = sync_client_stack
         return client
 
-    # a representative slice of the conformance behaviours over the old client
+    # a representative slice of the conformance behaviours over the sync client
     test_submit = SubmissionConformance.test_submit_returns_future_style_handle
     test_result = SubmissionConformance.test_result_returns_answer_envelope
     test_callback = SubmissionConformance.test_done_callback_fires_on_answer
@@ -217,7 +215,7 @@ class TestAsyncTransportShape:
     def test_two_async_clients_coordinate_through_one_server(self, server_and_service):
         server, first = server_and_service
         host, port = server.address
-        second = connect_bridged(host, port)
+        second = RemoteService.connect(host, port)
         try:
             kramer = first.submit(SubmitRequest(sql=KRAMER_SQL, owner="Kramer"))
             jerry = second.submit(SubmitRequest(sql=JERRY_SQL, owner="Jerry"))
@@ -361,7 +359,7 @@ class TestFailureSemantics:
         host, port = probe.start()
         probe.stop()
         with pytest.raises(ServiceUnavailableError):
-            connect_bridged(host, port, connect_timeout=0.5)
+            RemoteService.connect(host, port, connect_timeout=0.5)
 
 
 class TestHandleRegistry:
@@ -386,30 +384,6 @@ class TestHandleRegistry:
         assert not results[1].done()
 
 
-class TestServedByEitherTransport:
-    """One bridged async client against the *threaded* server: the asyncio
-    client is transport-agnostic too."""
-
-    def test_async_client_against_threaded_server(self):
-        from repro.service.remote import CoordinationServer
-
-        server = CoordinationServer(config=SystemConfig(seed=0))
-        host, port = server.start()
-        bridged = connect_bridged(host, port)
-        try:
-            bridged.execute_script(SETUP)
-            bridged.declare_answer_relation(
-                "Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"]
-            )
-            kramer = bridged.submit(SubmitRequest(sql=KRAMER_SQL, owner="Kramer"))
-            bridged.submit(SubmitRequest(sql=JERRY_SQL, owner="Jerry"))
-            assert kramer.result(timeout=5.0).owner == "Kramer"
-            assert dict(bridged.stats().transport)["connections_open"] == 1
-        finally:
-            bridged.close()
-            server.stop()
-
-
 class TestBridgedService:
     def test_bridge_requires_exactly_one_construction_path(self):
         with pytest.raises(ValueError):
@@ -424,7 +398,7 @@ class TestServerResourceLifecycle:
         service = InProcessService(config=SystemConfig(seed=0))
         server = BackgroundAsyncServer(service=service)
         host, port = server.start()
-        bridged = connect_bridged(host, port)
+        bridged = RemoteService.connect(host, port)
         bridged.execute_script(SETUP)  # forces executor threads to spawn
         bridged.close()
         server.stop()

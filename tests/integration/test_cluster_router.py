@@ -35,7 +35,8 @@ from repro.core.compiler import compile_entangled
 from repro.core.coordinator import QueryStatus
 from repro.errors import EntanglementError
 from repro.service import SubmitRequest, SystemConfig
-from repro.service.remote import CoordinationServer, RemoteService
+from repro.service.aio import BackgroundAsyncServer
+from repro.service.remote import RemoteService
 from repro.cluster import (
     BackgroundClusterRouter,
     NodeSpec,
@@ -48,7 +49,7 @@ def start_cluster(node_count: int = 2):
     """``node_count`` live servers, a router over them, and one client."""
     nodes = []
     for _ in range(node_count):
-        server = CoordinationServer(config=SystemConfig(seed=0))
+        server = BackgroundAsyncServer(config=SystemConfig(seed=0))
         server.start()
         nodes.append(server)
     placement = PlacementMap(
@@ -361,7 +362,7 @@ def start_policy_cluster(policies: list[str]):
     """One node per entry in ``policies``, each with that match policy."""
     nodes = []
     for policy in policies:
-        server = CoordinationServer(config=SystemConfig(seed=0, match_policy=policy))
+        server = BackgroundAsyncServer(config=SystemConfig(seed=0, match_policy=policy))
         server.start()
         nodes.append(server)
     placement = PlacementMap(

@@ -2,13 +2,13 @@
 
 Runs every scenario class from ``tests/service_conformance.py`` — the same
 classes the in-process service passes in
-``tests/unit/service/test_service_api.py`` — against a
-:class:`~repro.service.remote.RemoteService` talking length-prefixed JSON
-over TCP to a :class:`~repro.service.remote.CoordinationServer` on
+``tests/unit/service/test_service_api.py`` — against the synchronous
+:class:`~repro.service.remote.RemoteService` client talking length-prefixed
+JSON over TCP to an :class:`~repro.service.aio.AsyncCoordinationServer` on
 localhost.  On top of that it checks the properties only a network
-transport has: one frame per batch, push-driven (non-polling) results,
-typed errors across the wire, and fail-fast behaviour when the server goes
-away mid-wait.
+transport has, through the client's own synchronous surface: one frame per
+batch, push-driven (non-polling) results, typed errors across the wire, and
+fail-fast behaviour when the server goes away mid-wait.
 """
 
 from __future__ import annotations
@@ -49,12 +49,13 @@ from repro.service import (
     SubmitRequest,
     SystemConfig,
 )
-from repro.service.remote import CoordinationServer, RemoteHandle, RemoteService
+from repro.service.aio import BackgroundAsyncServer, BridgedHandle
+from repro.service.remote import RemoteService
 
 
 def start_stack(config: SystemConfig = SystemConfig(seed=0)):
     """A started server plus one connected client (caller closes both)."""
-    server = CoordinationServer(config=config)
+    server = BackgroundAsyncServer(config=config)
     host, port = server.start()
     client = RemoteService.connect(host, port)
     return server, client
@@ -189,10 +190,10 @@ class TestTransportShape:
     def test_terminal_handles_leave_the_client_registry(self, service):
         """One entry per *pending* query, not one per query ever submitted."""
         kramer = service.submit(SubmitRequest(sql=KRAMER_SQL, owner="Kramer"))
-        assert kramer.query_id in service._handles
+        assert kramer.query_id in service.aservice._handles
         service.submit(SubmitRequest(sql=JERRY_SQL, owner="Jerry"))
         kramer.result(timeout=5.0)
-        assert wait_until(lambda: kramer.query_id not in service._handles)
+        assert wait_until(lambda: kramer.query_id not in service.aservice._handles)
 
     def test_execute_script_routes_relations_and_handles(self, service):
         results = service.execute_script(
@@ -200,7 +201,7 @@ class TestTransportShape:
         )
         assert isinstance(results[0], RelationResult)
         assert results[0].scalar() == 3
-        assert isinstance(results[1], RemoteHandle)
+        assert isinstance(results[1], BridgedHandle)
         assert not results[1].done()
 
 
@@ -304,7 +305,7 @@ class TestFailureSemantics:
     def test_rpcs_after_shutdown_raise_service_unavailable(self, server_and_service):
         server, service = server_and_service
         server.stop()
-        wait_until(lambda: service._failure is not None)
+        wait_until(lambda: service.aservice._failure is not None)
         with pytest.raises(ServiceUnavailableError):
             service.stats()
         with pytest.raises(ServiceUnavailableError):
@@ -322,11 +323,11 @@ class TestFailureSemantics:
         service.shutdown_server()
         assert server.wait_stopped(timeout=5.0)
         with pytest.raises(ServiceUnavailableError):
-            wait_until(lambda: service._failure is not None)
+            wait_until(lambda: service.aservice._failure is not None)
             service.stats()
 
     def test_connect_to_dead_port_raises_service_unavailable(self):
-        probe = CoordinationServer(config=SystemConfig(seed=0))
+        probe = BackgroundAsyncServer(config=SystemConfig(seed=0))
         host, port = probe.start()
         probe.stop()
         with pytest.raises(ServiceUnavailableError):

@@ -29,7 +29,8 @@ import pytest
 from service_conformance import SETUP, wait_until
 from repro.core.coordinator import QueryStatus
 from repro.service import SystemConfig
-from repro.service.remote import CoordinationServer, RemoteService
+from repro.service.aio import BackgroundAsyncServer
+from repro.service.remote import RemoteService
 from repro.cluster import (
     BackgroundClusterRouter,
     NodeSpec,
@@ -73,7 +74,7 @@ def relations_per_node(placement: PlacementMap) -> list[str]:
 def three_nodes():
     nodes = []
     for _ in range(3):
-        server = CoordinationServer(config=SystemConfig(seed=0))
+        server = BackgroundAsyncServer(config=SystemConfig(seed=0))
         server.start()
         nodes.append(server)
     placement = PlacementMap(
@@ -218,7 +219,7 @@ class TestReshard:
         live query whose shard re-projected onto a new node over to it."""
         nodes = []
         for _ in range(3):
-            server = CoordinationServer(config=SystemConfig(seed=0))
+            server = BackgroundAsyncServer(config=SystemConfig(seed=0))
             server.start()
             nodes.append(server)
         specs = [NodeSpec(index, *server.address) for index, server in enumerate(nodes)]

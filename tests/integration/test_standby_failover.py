@@ -21,12 +21,14 @@ from service_conformance import wait_until
 from repro.core.coordinator import QueryStatus
 from repro.errors import ServiceUnavailableError
 from repro.service import SystemConfig
-from repro.service.remote import CoordinationServer, RemoteService
+from repro.service.aio import BackgroundAsyncServer
+from repro.service.remote import RemoteService, codec
 from repro.cluster import (
     BackgroundClusterRouter,
     NodeSpec,
     PlacementMap,
     StandbyServer,
+    WalStream,
 )
 
 
@@ -37,9 +39,9 @@ def schema_file(tmp_path):
     return path
 
 
-def start_primary(tmp_path) -> tuple[CoordinationServer, RemoteService]:
+def start_primary(tmp_path) -> tuple[BackgroundAsyncServer, RemoteService]:
     """An in-process primary with a WAL (shipping requires durability)."""
-    primary = CoordinationServer(
+    primary = BackgroundAsyncServer(
         config=SystemConfig(seed=0, data_dir=tmp_path / "primary")
     )
     host, port = primary.start()
@@ -105,7 +107,7 @@ class TestStandbyReplication:
             primary.stop()
 
     def test_wal_subscribe_requires_durability(self):
-        primary = CoordinationServer(config=SystemConfig(seed=0))
+        primary = BackgroundAsyncServer(config=SystemConfig(seed=0))
         primary.start()
         standby = StandbyServer(*primary.address)
         standby.start()
@@ -114,6 +116,73 @@ class TestStandbyReplication:
                 standby.wait_caught_up(10.0)
         finally:
             standby.stop()
+            primary.stop()
+
+
+class TestWalShipping:
+    def test_acked_record_is_already_on_the_standby_socket(self, tmp_path):
+        """Ship-before-ack, deterministically: no read may wait for the record."""
+        primary, client = start_primary(tmp_path)
+        stream = WalStream(*primary.address)
+        entered, release = threading.Event(), threading.Event()
+
+        def hold_the_loop() -> None:
+            entered.set()
+            release.wait(10.0)
+
+        try:
+            stream.subscribe()
+            sock = stream._sock
+            sock.setblocking(False)
+            # The primary's event loop is parked for the whole submit: a
+            # record that still needs the loop to reach the socket cannot
+            # be there when the submit returns.
+            primary._loop.call_soon_threadsafe(hold_the_loop)
+            assert entered.wait(5.0)
+            try:
+                # in-process, from this thread: no loop round trip orders the ack
+                handle = primary.service.submit(booking_sql("A", "ghost"), owner="A")
+                received = sock.recv(1 << 20)  # non-blocking: raises if nothing arrived
+            finally:
+                release.set()
+            frames = []
+            while len(received) >= 4:
+                length = codec.decode_frame_length(received[:4])
+                frames.append(codec.decode_frame_body(received[4 : 4 + length]))
+                received = received[4 + length :]
+            shipped = [
+                frame["data"] for frame in frames if frame.get("push") == "wal"
+            ]
+            assert any(
+                record["type"] == "submit"
+                and record["data"]["query_id"] == handle.query_id
+                for record in shipped
+            )
+        finally:
+            stream.close()
+            client.close()
+            primary.stop()
+
+    def test_disconnected_standby_is_dropped_and_primary_keeps_acking(self, tmp_path):
+        primary, client = start_primary(tmp_path)
+        standby = StandbyServer(*primary.address)
+        standby.start()
+        try:
+            assert standby.wait_caught_up(10.0)
+            assert client.stats().durability["wal_subscribers"] == 1
+            standby.stop()  # closes the standby's log stream
+            assert wait_until(
+                lambda: primary.metrics.snapshot()["connections_open"] == 1
+            )  # only this client is left
+            handles = [
+                client.submit(booking_sql(f"D{index}", "ghost"), owner=f"D{index}")
+                for index in range(3)
+            ]
+            assert all(handle.status is QueryStatus.PENDING for handle in handles)
+            assert client.stats().durability["wal_subscribers"] == 0
+        finally:
+            standby.stop()
+            client.close()
             primary.stop()
 
 
@@ -220,7 +289,7 @@ class TestSigkillFailover:
 class TestRouterFailover:
     def test_router_promotes_standby_and_resumes(self, tmp_path):
         """Node dies -> router promotes its standby and the cluster carries on."""
-        primary = CoordinationServer(
+        primary = BackgroundAsyncServer(
             config=SystemConfig(seed=0, data_dir=tmp_path / "node0")
         )
         primary.start()
@@ -264,7 +333,7 @@ class TestRouterFailover:
             primary.stop()
 
     def test_node_loss_without_standby_rejects_its_queries(self):
-        node = CoordinationServer(config=SystemConfig(seed=0))
+        node = BackgroundAsyncServer(config=SystemConfig(seed=0))
         node.start()
         placement = PlacementMap([NodeSpec(0, *node.address)])
         router = BackgroundClusterRouter(placement)

@@ -7,7 +7,7 @@ modules instantiate them against different transports:
 
 * ``tests/unit/service/test_service_api.py`` — ``InProcessService``;
 * ``tests/integration/test_remote_conformance.py`` — ``RemoteService``
-  against a live ``CoordinationServer`` on localhost.
+  against a live ``AsyncCoordinationServer`` on localhost.
 
 A transport passes the suite iff callers cannot tell it apart from the
 in-process implementation: same typed errors, same handle semantics, same

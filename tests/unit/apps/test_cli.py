@@ -201,13 +201,13 @@ class TestRemoteShell:
 
 
 class TestAsyncTransportShell:
-    """serve --transport asyncio + connect --async: the same shell over the
-    asyncio request plane (build_server and the bridge, exactly as main())."""
+    """serve --transport asyncio + connect: the same shell over the asyncio
+    request plane (build_server and the sync client, exactly as main())."""
 
     @pytest.fixture
     def async_shell(self, tmp_path):
         from repro.apps.cli import build_server
-        from repro.service.aio import connect_bridged
+        from repro.service.remote import RemoteService
 
         script = tmp_path / "schema.sql"
         script.write_text(
@@ -215,7 +215,7 @@ class TestAsyncTransportShell:
             "INSERT INTO Flights VALUES (122, 'Paris'), (123, 'Paris'), (136, 'Rome');\n"
         )
         server = build_server(port=0, seed=0, script=str(script), transport="asyncio")
-        client = connect_bridged(*server.address)
+        client = RemoteService.connect(*server.address)
         yield CommandLine(client)
         client.close()
         server.stop()
@@ -245,13 +245,12 @@ class TestArgumentParsing:
         parser = build_parser()
         serve = parser.parse_args(["serve", "--port", "0", "--seed", "7"])
         assert (serve.command, serve.port, serve.seed) == ("serve", 0, 7)
-        assert serve.transport == "threaded"
         asyncio_serve = parser.parse_args(["serve", "--transport", "asyncio"])
         assert asyncio_serve.transport == "asyncio"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve", "--transport", "threaded"])
         connect = parser.parse_args(["connect", "--host", "example.org", "--port", "7399"])
         assert (connect.command, connect.host, connect.port) == ("connect", "example.org", 7399)
-        assert connect.use_async is False
-        assert parser.parse_args(["connect", "--async"]).use_async is True
         bare = parser.parse_args([])
         assert bare.command is None
 

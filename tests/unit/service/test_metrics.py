@@ -60,9 +60,9 @@ class TestTransportMetrics:
 class TestThreadedServerMetrics:
     def test_threaded_server_populates_transport_stats(self):
         from repro.service import RemoteService, SystemConfig
-        from repro.service.remote import CoordinationServer
+        from repro.service.aio import BackgroundAsyncServer
 
-        server = CoordinationServer(config=SystemConfig(seed=0))
+        server = BackgroundAsyncServer(config=SystemConfig(seed=0))
         host, port = server.start()
         try:
             with RemoteService.connect(host, port) as client:
@@ -78,9 +78,9 @@ class TestThreadedServerMetrics:
 
     def test_connection_close_decrements_open_count(self):
         from repro.service import RemoteService, SystemConfig
-        from repro.service.remote import CoordinationServer
+        from repro.service.aio import BackgroundAsyncServer
 
-        server = CoordinationServer(config=SystemConfig(seed=0))
+        server = BackgroundAsyncServer(config=SystemConfig(seed=0))
         host, port = server.start()
         try:
             client = RemoteService.connect(host, port)
