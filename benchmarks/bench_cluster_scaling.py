@@ -16,14 +16,10 @@ pairs per relation through the router as single-frame-per-node batches.
 Aggregate matched-queries/sec is gated at ``BENCH_CLUSTER_MIN_SCALING``
 (default **2.5×**) going from a 1-node to a 4-node cluster; perfect would
 be ~4× minus the CRC32 relation→node skew.
-
-Set ``BENCH_CLUSTER_JSON=/path/out.json`` to dump the raw numbers (the CI
-cluster-conformance job uploads this into the bench-trajectory artifact).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import select
 import subprocess
@@ -185,11 +181,8 @@ def run_cluster(node_count: int) -> dict:
             }
         )
         return {
-            "node_count": node_count,
             "queries": len(requests),
-            "standing_pool": len(ghosts),
             "answered": answered,
-            "elapsed_seconds": elapsed,
             "matched_qps": answered / elapsed,
             "relations_per_node": [
                 distribution.count(node) for node in range(node_count)
@@ -205,13 +198,6 @@ def run_cluster(node_count: int) -> dict:
             router.stop()
         for node in nodes:
             node.terminate()
-
-
-def _dump_json(payload: dict) -> None:
-    path = os.environ.get("BENCH_CLUSTER_JSON")
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
 
 
 def test_matched_throughput_scales_from_one_to_four_nodes(report):
@@ -237,15 +223,6 @@ def test_matched_throughput_scales_from_one_to_four_nodes(report):
         scaling=round(scaling, 2),
         relations_per_node=quad["relations_per_node"],
         residence_nodes=quad["residence_nodes"],
-    )
-    _dump_json(
-        {
-            "experiment": "cluster_scaling",
-            "single_node": single,
-            "four_nodes": quad,
-            "scaling": scaling,
-            "gate_min_scaling": min_scaling,
-        }
     )
     assert scaling >= min_scaling, (
         f"matched-qps scaled only {scaling:.2f}x from 1 to 4 nodes "

@@ -1,14 +1,10 @@
 """Policy overhead — bounded candidate enumeration vs. the first-match default.
 
-Run with ``PYTHONPATH=src python -m pytest -q benchmarks/bench_policy_overhead.py``;
-``BENCH_MATCHING_JSON=FILE`` also dumps the measurements (experiment key
-``bench_matching_policies``) for the CI trajectory artifact.
+Run with ``PYTHONPATH=src python -m pytest -q benchmarks/bench_policy_overhead.py``.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 from repro.core.config import SystemConfig
@@ -24,9 +20,8 @@ from repro.core.system import YoutopiaSystem
 # search: its throughput on a standing-pool workload is gated at >= 0.8x of
 # a control run that bypasses the policy layer entirely.  The enumerating
 # policies (priority / fairness) pay for the extra groups they inspect; their
-# ratios are reported (and dumped to ``BENCH_MATCHING_JSON`` for the CI
-# trajectory artifact) but not gated — the point of the experiment is to
-# keep the *default* path free.
+# ratios are reported but not gated — the point of the experiment is to keep
+# the *default* path free.
 
 POLICY_NOISE_SINGLETONS = 16
 POLICY_MEASURED_PAIRS = 48
@@ -85,11 +80,6 @@ def run_policy_workload(policy: str, bypass_policy_layer: bool = False) -> dict:
             f"{policy}: only {answered} of {2 * POLICY_MEASURED_PAIRS} answered"
         )
         return {
-            "policy": policy,
-            "bypass_policy_layer": bypass_policy_layer,
-            "pairs": POLICY_MEASURED_PAIRS,
-            "standing_pool": POLICY_NOISE_SINGLETONS,
-            "elapsed_seconds": elapsed,
             "throughput_qps": answered / elapsed,
             "matching": coordinator.matching_statistics(),
         }
@@ -123,25 +113,6 @@ def test_policy_overhead_vs_default_path(report):
         assert run["matching"]["groups_enumerated"] > run["matching"]["decisions"]
         assert run["matching"]["groups_skipped"] > 0
 
-    payload = {
-        "experiment": "bench_matching_policies",
-        "workload": {
-            "pairs": POLICY_MEASURED_PAIRS,
-            "standing_pool": POLICY_NOISE_SINGLETONS,
-            "paris_flights": POLICY_PARIS_FLIGHTS,
-        },
-        "control_no_policy_layer": control,
-        "first_match": first_match,
-        "priority": priority,
-        "fairness": fairness,
-        "default_path_ratio": default_ratio,
-        "priority_ratio": priority_ratio,
-        "fairness_ratio": fairness_ratio,
-    }
-    path = os.environ.get("BENCH_MATCHING_JSON")
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
     report(
         control_qps=round(control["throughput_qps"], 1),
         first_match_qps=round(first_match["throughput_qps"], 1),

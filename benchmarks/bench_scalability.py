@@ -12,34 +12,14 @@ Three sweeps:
   pending queries (pool noise) — expected shape: roughly flat thanks to the
   (relation, constant-position) provider index;
 * group-size sweep — cost grows with the size of the coordination group.
-
-Set ``BENCH_SCALABILITY_JSON=/path/out.json`` to dump the sweep numbers for
-the bench-trajectory artifact (written incrementally: the dump after each
-test carries every sweep point measured so far in the session).
 """
 
 from __future__ import annotations
-
-import json
-import os
 
 import pytest
 
 from conftest import group_workload, pair_workload
 from repro.workloads import run_workload
-
-_RESULTS: dict = {"experiment": "bench_scalability"}
-
-
-def maybe_dump_json() -> None:
-    path = os.environ.get("BENCH_SCALABILITY_JSON")
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(_RESULTS, handle, indent=2, sort_keys=True)
-
-
-def benchmark_mean_ms(benchmark) -> float:
-    return 1000.0 * benchmark.stats.stats.mean
 
 
 @pytest.mark.parametrize("num_pairs", [25, 50, 100, 200])
@@ -56,8 +36,6 @@ def test_throughput_vs_number_of_pairs(benchmark, report, num_pairs):
 
     result = benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
     per_query_ms = 1000.0 * result.elapsed_seconds / result.submitted
-    _RESULTS[f"pairs_{num_pairs}_per_query_ms"] = round(per_query_ms, 3)
-    maybe_dump_json()
     report(
         pairs=num_pairs,
         queries=result.submitted,
@@ -88,8 +66,6 @@ def test_arrival_cost_with_pool_noise(benchmark, report, noise):
         return system
 
     system = benchmark.pedantic(run, setup=setup, rounds=5, iterations=1)
-    _RESULTS[f"noise_{noise}_arrival_ms"] = round(benchmark_mean_ms(benchmark), 3)
-    maybe_dump_json()
     report(
         pool_noise=noise,
         pending_after=system.coordinator.pending_count(),
@@ -110,8 +86,6 @@ def test_group_size_sweep(benchmark, report, group_size):
         return result
 
     result = benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
-    _RESULTS[f"group_{group_size}_ms"] = round(benchmark_mean_ms(benchmark), 3)
-    maybe_dump_json()
     report(
         group_size=group_size,
         structural_nodes=result.statistics["structural_nodes"],
@@ -140,7 +114,5 @@ def test_mixed_load_with_hotel_coordination(benchmark, report, num_pairs):
         return result
 
     result = benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
-    _RESULTS[f"mixed_{num_pairs}_ms"] = round(benchmark_mean_ms(benchmark), 3)
-    maybe_dump_json()
     report(pairs=num_pairs, queries=result.submitted,
            groups=result.statistics["groups_matched"])

@@ -1,8 +1,10 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the benchmark scripts.
 
-Most benchmarks correspond to an experiment id in DESIGN.md / EXPERIMENTS.md
-(E1, E3-E8, E10, E13-E16).  The helpers here build fresh systems and workloads
-so each measured round starts from a clean pending pool.
+The scripts here are the paper's scalability sweep (E10,
+``bench_scalability.py``), the match-policy overhead gate and the cluster
+scaling gate; end-to-end latency and throughput are measured by the ledger
+(``ledger/run.py``).  The helpers build fresh systems and workloads so each
+measured round starts from a clean pending pool.
 """
 
 from __future__ import annotations
@@ -16,35 +18,11 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.core.config import SystemConfig  # noqa: E402
-from repro.core.system import YoutopiaSystem  # noqa: E402
 from repro.workloads import (  # noqa: E402
     WorkloadConfig,
     WorkloadGenerator,
     build_loaded_system,
 )
-
-KRAMER_SQL = (
-    "SELECT 'Kramer', fno INTO ANSWER Reservation "
-    "WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Paris') "
-    "AND ('Jerry', fno) IN ANSWER Reservation CHOOSE 1"
-)
-JERRY_SQL = (
-    "SELECT 'Jerry', fno INTO ANSWER Reservation "
-    "WHERE fno IN (SELECT fno FROM Flights WHERE dest = 'Paris') "
-    "AND ('Kramer', fno) IN ANSWER Reservation CHOOSE 1"
-)
-
-
-def figure1_system(seed: int = 0) -> YoutopiaSystem:
-    """The four-flight database of Figure 1(a)."""
-    system = YoutopiaSystem(config=SystemConfig(seed=seed))
-    system.execute("CREATE TABLE Flights (fno INT PRIMARY KEY, dest TEXT)")
-    system.execute(
-        "INSERT INTO Flights VALUES (122, 'Paris'), (123, 'Paris'), (134, 'Paris'), (136, 'Rome')"
-    )
-    system.declare_answer_relation("Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"])
-    return system
 
 
 def pair_workload(num_pairs: int, seed: int = 0, num_unmatchable: int = 0):
@@ -78,7 +56,7 @@ def report(request, capsys):
 
     Benchmarks use this to emit the 'table row' each experiment reports
     (throughput, pool sizes, match counts) alongside pytest-benchmark's timing
-    table, so EXPERIMENTS.md can be regenerated from the benchmark output.
+    table.
     """
 
     def _report(**fields):

@@ -196,8 +196,7 @@ class AdminInterface:
         return "\n".join(
             [
                 f"memory_limit = {stats.get('memory_limit')} "
-                f"(eviction_policy={stats.get('eviction_policy')}, "
-                f"backend={stats.get('backend')})",
+                f"(backend={stats.get('backend')})",
                 f"residency: hot={stats.get('hot', 0)} cold={stats.get('cold', 0)} "
                 f"peak_hot={stats.get('peak_hot', 0)}",
                 f"traffic: evictions={stats.get('evictions', 0)} "

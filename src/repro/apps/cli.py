@@ -247,9 +247,8 @@ class CommandLine:
             tiering = dict(stats.tiering)
             if tiering.get("enabled"):
                 lines.append(
-                    "tiering = {policy}/{backend} (limit={limit}, hot={hot}, "
+                    "tiering = {backend} (limit={limit}, hot={hot}, "
                     "cold={cold}, evictions={evictions}, page_ins={page_ins})".format(
-                        policy=tiering.get("eviction_policy"),
                         backend=tiering.get("backend"),
                         limit=tiering.get("memory_limit"),
                         hot=tiering.get("hot", 0),
@@ -347,14 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         "under --data-dir), memory (process-local, for testing)",
     )
     serve.add_argument(
-        "--eviction-policy",
-        choices=["lru", "fifo"],
-        default="lru",
-        help="which hot pending query spills when the memory limit is hit: "
-        "lru (least recently touched by a match probe) or fifo (oldest "
-        "arrival)",
-    )
-    serve.add_argument(
         "--cluster-node",
         default=None,
         metavar="I/N",
@@ -433,7 +424,6 @@ def build_server(
     policy_candidate_limit: int = 16,
     pending_memory_limit: Optional[int] = None,
     cold_store: str = "sqlite",
-    eviction_policy: str = "lru",
 ) -> BackgroundAsyncServer:
     """Assemble (and start) the server the ``serve`` sub-command runs.
 
@@ -494,7 +484,6 @@ def build_server(
         policy_candidate_limit=policy_candidate_limit,
         pending_memory_limit=pending_memory_limit,
         cold_store=cold_store,
-        eviction_policy=eviction_policy,
     )
     service = InProcessService(config=config)
     if cluster_node is not None:
@@ -621,7 +610,6 @@ def main(argv: Optional[list[str]] = None) -> int:  # pragma: no cover - interac
             policy_candidate_limit=args.policy_candidate_limit,
             pending_memory_limit=args.pending_memory_limit,
             cold_store=args.cold_store,
-            eviction_policy=args.eviction_policy,
         )
         transport_label = "standby" if args.standby_of else args.transport
         system = server.service.system

@@ -163,6 +163,9 @@ class ClusterRouter(AsyncServerBase):
         self._reshard = reshard
         self._clients: list[Optional[_NodeClient]] = [None] * placement.node_count
         self._standby_stat_clients: dict[int, AsyncRemoteService] = {}
+        #: in-flight failovers: the loop holds tasks only weakly, and a
+        #: collected failover task takes its standby connection with it
+        self._failover_tasks: set[asyncio.Task[None]] = set()
         #: router-assigned query ids (``r1``, ``r2``…) — the router is the id
         #: authority, so two nodes can never hand out the same ``q<n>`` id
         self._router_ids = itertools.count(1)
@@ -820,7 +823,6 @@ class ClusterRouter(AsyncServerBase):
         matching: dict[str, Any] = {}
         match_policies: set[str] = set()
         tiering: dict[str, Any] = {"enabled": False}
-        tiering_policies: set[str] = set()
         tiering_backends: set[str] = set()
         routed_counts = self.registry.counts_by_node(self.placement.node_count)
         for spec, stats in zip(self.placement.nodes, per_node):
@@ -854,16 +856,14 @@ class ClusterRouter(AsyncServerBase):
                         matching["candidate_limit"] = node_matching["candidate_limit"]
                 node_tiering = stats.get("tiering") or {}
                 if node_tiering.get("enabled"):
-                    # Numeric tiering counters sum across nodes; policy and
-                    # backend strings follow the "mixed" convention, and the
-                    # derived latency average is recomputed from the sums.
+                    # Numeric tiering counters sum across nodes; the backend
+                    # string follows the "mixed" convention, and the derived
+                    # latency average is recomputed from the sums.
                     tiering["enabled"] = True
-                    if node_tiering.get("eviction_policy"):
-                        tiering_policies.add(str(node_tiering["eviction_policy"]))
                     if node_tiering.get("backend"):
                         tiering_backends.add(str(node_tiering["backend"]))
                     for key, value in node_tiering.items():
-                        if key in ("enabled", "eviction_policy", "backend", "avg_page_in_ms"):
+                        if key in ("enabled", "backend", "avg_page_in_ms"):
                             continue
                         if isinstance(value, bool) or not isinstance(value, (int, float)):
                             continue
@@ -910,9 +910,6 @@ class ClusterRouter(AsyncServerBase):
                 next(iter(match_policies)) if len(match_policies) == 1 else "mixed"
             )
         if tiering["enabled"]:
-            tiering["eviction_policy"] = (
-                next(iter(tiering_policies)) if len(tiering_policies) == 1 else "mixed"
-            )
             tiering["backend"] = (
                 next(iter(tiering_backends)) if len(tiering_backends) == 1 else "mixed"
             )
@@ -1059,7 +1056,9 @@ class ClusterRouter(AsyncServerBase):
     def _schedule_node_loss(self, node_index: int) -> None:
         if self._stopping or self._loop is None or node_index < 0:
             return
-        self._loop.create_task(self._handle_node_loss(node_index))
+        task = self._loop.create_task(self._handle_node_loss(node_index))
+        self._failover_tasks.add(task)
+        task.add_done_callback(self._failover_tasks.discard)
 
     async def _handle_node_loss(self, node_index: int) -> None:
         """A node connection died: promote its standby or fail its queries."""

@@ -81,11 +81,6 @@ class SystemConfig:
         backends register via
         :func:`repro.storage.backends.register_backend`.  Ignored without
         ``pending_memory_limit``.
-    eviction_policy:
-        Which hot query spills when the pool exceeds its budget: ``"lru"``
-        (the default — touches on every probe, so actively-matching queries
-        stay hot) or ``"fifo"`` (strict arrival order, no touch accounting).
-        Ignored without ``pending_memory_limit``.
     """
 
     seed: Optional[int] = None
@@ -99,7 +94,6 @@ class SystemConfig:
     policy_cost_attribute: str = "price"
     pending_memory_limit: Optional[int] = None
     cold_store: str = "sqlite"
-    eviction_policy: str = "lru"
 
     def replace(self, **overrides: object) -> "SystemConfig":
         """A copy of this configuration with some fields overridden."""
@@ -119,5 +113,4 @@ class SystemConfig:
             "policy_cost_attribute": self.policy_cost_attribute,
             "pending_memory_limit": self.pending_memory_limit,
             "cold_store": self.cold_store,
-            "eviction_policy": self.eviction_policy,
         }

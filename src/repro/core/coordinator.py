@@ -175,7 +175,6 @@ class Coordinator:
             self._tiering = TieringManager(
                 backend,
                 config.pending_memory_limit,
-                eviction_policy=config.eviction_policy,
                 on_evict=self._tiering_evicted,
                 on_page_in=self._tiering_paged_in,
             )

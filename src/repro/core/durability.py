@@ -40,8 +40,8 @@ Group commit
 append — or once per :meth:`WriteAheadLog.group_commit` scope, which
 ``submit_many`` wraps around a whole batch — and ``"never"`` leaves flushing
 to the OS.  The group-commit scope is what keeps WAL-on batch submission
-within a small factor of the WAL-off path (see
-``benchmarks/bench_durability.py``).
+within a small factor of the WAL-off path (the ledger's ``durable-mixed``
+workload reports ``durability.fsyncs_per_op``).
 """
 
 from __future__ import annotations

@@ -60,9 +60,6 @@ from repro.storage.backends import (
     encode_payload,
 )
 
-#: Eviction orders the tiered pool understands.
-EVICTION_POLICIES = ("lru", "fifo")
-
 _MISSING = object()
 
 
@@ -138,8 +135,8 @@ class TieredPool:
     ) -> Optional[ir.EntangledQuery]:
         query = self._hot.get(query_id)
         if query is not None:
-            if self._manager.eviction_policy == "lru":
-                self._hot[query_id] = self._hot.pop(query_id)
+            # least recently probed spills first: a hit moves to the back
+            self._hot[query_id] = self._hot.pop(query_id)
             return query
         if query_id in self._cold:
             return self._page_in(query_id)
@@ -273,20 +270,13 @@ class TieringManager:
         self,
         backend: PendingStoreBackend,
         memory_limit: int,
-        eviction_policy: str = "lru",
         on_evict: Optional[Callable[[str, ir.EntangledQuery], None]] = None,
         on_page_in: Optional[Callable[[str, ir.EntangledQuery], None]] = None,
     ) -> None:
         if memory_limit < 1:
             raise ValueError("pending_memory_limit must be >= 1 when tiering is enabled")
-        if eviction_policy not in EVICTION_POLICIES:
-            known = ", ".join(EVICTION_POLICIES)
-            raise ValueError(
-                f"unknown eviction_policy {eviction_policy!r} (known policies: {known})"
-            )
         self.backend = backend
         self.memory_limit = memory_limit
-        self.eviction_policy = eviction_policy
         self._on_evict = on_evict
         self._on_page_in = on_page_in
         self._closed = False
@@ -320,7 +310,6 @@ class TieringManager:
         return {
             "enabled": True,
             "memory_limit": self.memory_limit,
-            "eviction_policy": self.eviction_policy,
             "backend": self.backend.describe(),
             "hot": pool.hot_count(),
             "cold": pool.cold_count(),

@@ -29,7 +29,7 @@ import threading
 from typing import Any, Callable, Coroutine, Optional, Sequence, TypeVar, Union
 
 from repro.core import ir
-from repro.errors import ServiceUnavailableError
+from repro.errors import EntanglementError, ServiceUnavailableError
 from repro.service.api import (
     AnswerEnvelope,
     RelationResult,
@@ -96,11 +96,23 @@ class BridgedHandle:
 
     def result(self, timeout: Optional[float] = None) -> AnswerEnvelope:
         """Block the calling thread until answered (the coroutine enforces
-        the deadline and raises the typed timeout/cancellation errors)."""
+        the deadline and raises the typed timeout/cancellation errors).
+
+        A terminal handle answers from its own state without the loop, so
+        it stays readable after the service is closed.
+        """
+        if self._handle.done():
+            return self._handle.settled_result()
         return self._bridge.run(self._handle.result(timeout=timeout))
 
     def exception(self, timeout: Optional[float] = None) -> Optional[Exception]:
-        return self._bridge.run(self._handle.exception(timeout=timeout))
+        if not self._handle.done():
+            return self._bridge.run(self._handle.exception(timeout=timeout))
+        try:
+            self._handle.settled_result()
+        except EntanglementError as exc:
+            return exc
+        return None
 
     def add_done_callback(self, fn: Callable[["BridgedHandle"], Any]) -> None:
         """Run ``fn(handle)`` on completion.

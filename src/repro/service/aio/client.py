@@ -89,28 +89,40 @@ class AsyncRemoteHandle(AwaitableHandle):
     # -- state ingestion (reader task / constructor, loop thread only) ----------------------
 
     def _apply_state(self, state: dict[str, Any]) -> None:
-        """Fold a pushed snapshot in; resolves the future when terminal."""
-        self._status = QueryStatus(state.get("status", "pending"))
+        """Fold a pushed snapshot in; resolves the future when terminal.
+
+        The status is published last, so a thread that sees ``done()`` also
+        sees the resolved future (:meth:`settled_result` relies on that).
+        """
+        status = QueryStatus(state.get("status", "pending"))
         self._error = state.get("error")
         self._group = tuple(state.get("group") or ())
         self._answered_at = state.get("answered_at")
         answer = state.get("answer")
         if answer is not None:
             self._answer = codec.decode_answer(self._query_id, answer)
-        if self._status not in _TERMINAL or self._future.done():
-            return
-        if self._status is QueryStatus.ANSWERED:
-            if self._answer is None:
-                # the server degraded the push because the answer payload
-                # could not cross the wire (see codec.encode_done_push)
-                self._future.set_exception(
-                    ProtocolError(
-                        self._error
-                        or f"query {self._query_id!r} answered, but the answer "
-                        "could not be delivered"
-                    )
+        if status in _TERMINAL and not self._future.done():
+            self._resolve(status)
+        self._status = status
+
+    def _resolve(self, status: QueryStatus) -> None:
+        if status is not QueryStatus.ANSWERED:
+            self._future.set_exception(
+                EntanglementError(
+                    f"query {self._query_id!r} is {status.value}: {self._error or ''}"
                 )
-                return
+            )
+        elif self._answer is None:
+            # the server degraded the push because the answer payload
+            # could not cross the wire (see codec.encode_done_push)
+            self._future.set_exception(
+                ProtocolError(
+                    self._error
+                    or f"query {self._query_id!r} answered, but the answer "
+                    "could not be delivered"
+                )
+            )
+        else:
             self._future.set_result(
                 AnswerEnvelope(
                     query_id=self._query_id,
@@ -119,12 +131,6 @@ class AsyncRemoteHandle(AwaitableHandle):
                     binding=dict(self._answer.binding),
                     group=self._group,
                     answered_at=self._answered_at,
-                )
-            )
-        else:
-            self._future.set_exception(
-                EntanglementError(
-                    f"query {self._query_id!r} is {self._status.value}: {self._error or ''}"
                 )
             )
 
@@ -186,6 +192,9 @@ class AsyncRemoteHandle(AwaitableHandle):
 
     def cancelled(self) -> bool:
         return self._status is QueryStatus.CANCELLED
+
+    def settled_result(self) -> AnswerEnvelope:
+        return self._future.result()
 
     async def cancel(self) -> None:
         """Withdraw this query from the pending pool (server round trip)."""

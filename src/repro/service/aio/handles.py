@@ -81,6 +81,14 @@ class AwaitableHandle:
         except asyncio.TimeoutError:
             raise CoordinationTimeoutError(self.query_id, timeout) from None
 
+    def settled_result(self) -> AnswerEnvelope:
+        """A terminal handle's outcome, read without the event loop.
+
+        Returns the envelope or raises what :meth:`result` would.  Only
+        valid once ``done()`` is true; it works after the loop has closed.
+        """
+        raise NotImplementedError  # pragma: no cover - every subclass overrides
+
     async def exception(self, timeout: Optional[float] = None) -> Optional[EntanglementError]:
         """The terminal error, or ``None`` if answered (suspends like result)."""
         try:
@@ -195,6 +203,9 @@ class AsyncRequestHandle(AwaitableHandle):
 
     def cancelled(self) -> bool:
         return self._handle.cancelled()
+
+    def settled_result(self) -> AnswerEnvelope:
+        return self._handle.result(timeout=0)
 
     # -- the future bridge -------------------------------------------------------------------
 

@@ -178,7 +178,7 @@ class ServiceStats:
     (decisions, groups enumerated/skipped, ties broken) — see
     :class:`~repro.core.policy.PolicyStatistics`.  ``tiering`` describes the
     tiered pending pool (``{"enabled": False}`` without a
-    ``pending_memory_limit``; otherwise the memory budget, eviction policy,
+    ``pending_memory_limit``; otherwise the memory budget, the
     cold-store backend, hot/cold residency counts, eviction and page-in
     counters and cumulative page-in latency — see
     :class:`~repro.core.tiering.TieringManager`).

@@ -3,9 +3,8 @@
 Each function builds a fresh system with the travel schema/dataset, generates
 the scenario's coordination requests, submits them, and returns a
 :class:`ScenarioOutcome` that records whether everyone was answered and what
-they were answered with.  The benchmark harness (``benchmarks/``) and the
-integration tests both drive these functions, so the benchmarks measure
-exactly the code path the demo exercised.
+they were answered with.  The unit and integration tests drive these
+functions, so they check exactly the code path the demo exercised.
 """
 
 from __future__ import annotations

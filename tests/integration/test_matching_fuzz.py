@@ -344,15 +344,14 @@ def test_match_plans_and_indexes_are_answer_equivalent_over_200_random_pools():
 
 # ---------------------------------------------------------------------------
 # Tiering invariance: the tiered pending pool (hot/cold split + page-in) is a
-# pure memory optimisation — under a tiny memory limit, every eviction policy
-# answers the same partition and commits byte-identical tuples as the
-# untiered pool, under every selection-policy rotation.
+# pure memory optimisation — under a tiny memory limit it answers the same
+# partition and commits byte-identical tuples as the untiered pool, under
+# every selection-policy rotation.
 # ---------------------------------------------------------------------------
 
 TIERED_VARIANTS = (
-    {"pending_memory_limit": 4, "cold_store": "memory", "eviction_policy": "lru"},
-    {"pending_memory_limit": 4, "cold_store": "memory", "eviction_policy": "fifo"},
-    {"pending_memory_limit": 1, "cold_store": "sqlite", "eviction_policy": "lru"},
+    {"pending_memory_limit": 4, "cold_store": "memory"},
+    {"pending_memory_limit": 1, "cold_store": "sqlite"},
 )
 
 
@@ -363,9 +362,9 @@ def test_tiered_pool_is_answer_equivalent_over_200_random_pools():
     keeps id-sweep order identical to the untiered dict, so candidate
     enumeration and RNG consumption never diverge: the committed answer
     tuples must match exactly, in order, for every rotation of the selection
-    policy and for both eviction orders (``memory_limit=1`` forces nearly the
-    whole pool through the cold store — the sqlite variant proves the default
-    backend, not just the in-memory one).
+    policy (``memory_limit=1`` forces nearly the whole pool through the cold
+    store — the sqlite variant proves the default backend, not just the
+    in-memory one).
     """
     total_groups = 0
     total_pending = 0
@@ -392,8 +391,7 @@ def test_tiered_pool_is_answer_equivalent_over_200_random_pools():
                 )
                 label = (
                     f"pool {seed} (limit={variant_config['pending_memory_limit']}/"
-                    f"{variant_config['cold_store']}/"
-                    f"{variant_config['eviction_policy']}/{policy})"
+                    f"{variant_config['cold_store']}/{policy})"
                 )
                 try:
                     for query in compiled_ir:

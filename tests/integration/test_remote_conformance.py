@@ -35,6 +35,7 @@ from service_conformance import (
 )
 from repro.errors import (
     CoordinationTimeoutError,
+    EntanglementError,
     ParseError,
     QueryAlreadyAnsweredError,
     QueryNotPendingError,
@@ -317,6 +318,23 @@ class TestFailureSemantics:
         service.close()
         with pytest.raises(ServiceUnavailableError):
             handle.result(timeout=5.0)
+
+    def test_client_close_keeps_terminal_handles_readable(self, server_and_service):
+        """An answered or cancelled handle reports its outcome after close()."""
+        _server, service = server_and_service
+        kramer = service.submit(SubmitRequest(sql=KRAMER_SQL, owner="Kramer"))
+        jerry = service.submit(SubmitRequest(sql=JERRY_SQL, owner="Jerry"))
+        withdrawn = service.submit(SubmitRequest(sql=unmatchable_sql(fresh_owner("cw"))))
+        withdrawn.cancel()
+        assert wait_until(lambda: kramer.done() and withdrawn.done())
+        service.close()
+        envelope = kramer.result(timeout=1)
+        assert envelope.owner == "Kramer"
+        assert set(envelope.group) == {kramer.query_id, jerry.query_id}
+        assert kramer.exception(timeout=1) is None
+        assert isinstance(withdrawn.exception(timeout=1), EntanglementError)
+        with pytest.raises(EntanglementError):
+            withdrawn.result(timeout=1)
 
     def test_remote_shutdown_op_stops_the_server(self, server_and_service):
         server, service = server_and_service

@@ -11,6 +11,7 @@ socket before the submit RPC returns.
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 
@@ -295,6 +296,16 @@ class TestRouterFailover:
         primary.start()
         standby = StandbyServer(*primary.address)
         standby_host, standby_port = standby.start()
+        promote = standby.promote
+
+        def promote_after_gc(*args, **kwargs):
+            # a collection while the router awaits the promote must not
+            # reclaim its failover task: the loop holds tasks only weakly
+            time.sleep(0.05)  # until the router's failover sits in its await
+            gc.collect()
+            return promote(*args, **kwargs)
+
+        standby.promote = promote_after_gc  # type: ignore[method-assign]
         placement = PlacementMap(
             [NodeSpec(0, *primary.address, standby=(standby_host, standby_port))]
         )

@@ -58,6 +58,17 @@ class TestSubmitMany:
         assert stats["groups_matched"] == 10
         assert stats["match_attempts"] == 10
 
+        # the loop-of-submit baseline pays one inline pass per submission
+        looped = YoutopiaSystem(config=SystemConfig(seed=0))
+        looped.execute_script(SETUP)
+        looped.declare_answer_relation("Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"])
+        for sql in queries:
+            looped.submit_entangled(sql)
+        loop_stats = looped.statistics()
+        assert loop_stats["groups_matched"] == 10
+        assert loop_stats["match_attempts"] == len(queries)
+        assert loop_stats["failed_match_attempts"] == 10
+
     def test_unmatchable_member_gets_exactly_one_sweep_attempt(self, system):
         requests = system.submit_many(
             [

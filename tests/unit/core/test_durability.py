@@ -94,6 +94,21 @@ class TestWriteAheadLog:
         assert batch.group_commits == 1
         batch.close()
 
+        # the same through the system: every submit_many batch of parked
+        # queries is one group commit and at most two fsyncs
+        system = build_system(tmp_path / "system", fsync_policy="batch")
+        load_base_data(system)
+        before = system.durability_stats()
+        for batch_index in range(3):
+            system.submit_many(
+                [booking_sql(f"u{batch_index}-{i}", f"ghost{batch_index}-{i}") for i in range(4)]
+            )
+        after = system.durability_stats()
+        assert system.coordinator.pending_count() == 12
+        assert after["wal_group_commits"] - before["wal_group_commits"] == 3
+        assert after["wal_fsyncs"] - before["wal_fsyncs"] <= 2 * 3
+        system.close()
+
     def test_single_append_fsyncs_under_another_threads_batch_scope(self, tmp_path):
         """Group-commit deferral is thread-local: other threads keep their
         acknowledge-after-durable guarantee while a batch scope is open."""
@@ -261,6 +276,7 @@ class TestRecovery:
 
         recovered = build_system(tmp_path)
         assert recovered.recovery is not None
+        assert not recovered.recovery.replay_errors
         first = recovered.statistics()
         assert len(recovered.pending_queries()) == 1
 

@@ -8,7 +8,6 @@ from repro.core.compiler import compile_entangled, entangled_to_sql
 from repro.core.config import SystemConfig
 from repro.core.system import YoutopiaSystem
 from repro.core.tiering import (
-    EVICTION_POLICIES,
     TieredPool,
     TieringManager,
     make_stub,
@@ -158,7 +157,7 @@ class TestTieredPool:
         assert len(cold_values) == pool.cold_count()
 
     def test_lru_touch_changes_victim(self):
-        manager = TieringManager(MemoryPendingStore(), memory_limit=2, eviction_policy="lru")
+        manager = TieringManager(MemoryPendingStore(), memory_limit=2)
         pool = manager.pool
         first, second, third = (compile_parked(index) for index in range(3))
         pool[first.query_id] = first
@@ -167,17 +166,6 @@ class TestTieredPool:
         pool[third.query_id] = third
         assert pool.is_cold(second.query_id)
         assert not pool.is_cold(first.query_id)
-        manager.close()
-
-    def test_fifo_ignores_touches(self):
-        manager = TieringManager(MemoryPendingStore(), memory_limit=2, eviction_policy="fifo")
-        pool = manager.pool
-        first, second, third = (compile_parked(index) for index in range(3))
-        pool[first.query_id] = first
-        pool[second.query_id] = second
-        pool.get(first.query_id)  # touch is a no-op under fifo
-        pool[third.query_id] = third
-        assert pool.is_cold(first.query_id)
         manager.close()
 
     def test_lost_payload_fails_loudly(self, manager, pool):
@@ -194,9 +182,11 @@ class TestTieringManager:
     def test_validates_limit_and_policy(self):
         with pytest.raises(ValueError, match="pending_memory_limit"):
             TieringManager(MemoryPendingStore(), memory_limit=0)
-        with pytest.raises(ValueError, match="eviction_policy"):
-            TieringManager(MemoryPendingStore(), memory_limit=4, eviction_policy="random")
-        assert set(EVICTION_POLICIES) == {"lru", "fifo"}
+        # one eviction order (least recently probed spills first): no knob
+        with pytest.raises(TypeError, match="eviction_policy"):
+            TieringManager(MemoryPendingStore(), memory_limit=4, eviction_policy="fifo")
+        with pytest.raises(TypeError, match="eviction_policy"):
+            SystemConfig(eviction_policy="fifo")
 
     def test_capacity_floor_is_one(self):
         # the smallest legal budget still keeps the query being matched hot
@@ -218,7 +208,6 @@ class TestTieringManager:
         stats = manager.statistics()
         assert stats["enabled"] is True
         assert stats["memory_limit"] == 3
-        assert stats["eviction_policy"] == "lru"
         assert stats["backend"] == "memory"
         assert stats["hot"] + stats["cold"] == 5
         assert stats["hot"] <= 3
@@ -266,6 +255,10 @@ class TestCoordinatorIntegration:
             stats = system.coordinator.tiering_statistics()
             assert stats["enabled"]
             assert stats["hot"] <= 4
+            # eviction runs right after the insert that overflows, so the
+            # hot set peaks one above the limit and never further
+            assert stats["peak_hot"] <= 4 + 1
+            assert stats["evictions"] >= 12 - 4
             assert stats["hot"] + stats["cold"] == 12
             assert system.coordinator.pending_count() == 12
         finally:
@@ -291,6 +284,7 @@ class TestCoordinatorIntegration:
             assert partner.is_answered
             assert requests[0].is_answered
             assert system.coordinator.tiering_statistics()["page_ins"] >= 1
+            assert system.coordinator.pending_count() == 7
         finally:
             system.close()
 

@@ -100,25 +100,29 @@ class TestScenarios:
         assert len(outcome.answer_relation("Reservation")) == 2
 
     def test_group_scenarios_coordinate(self):
-        outcome = group_flight(group_size=4, seed=0)
-        assert outcome.coordinated
-        flights = {fno for _t, fno in outcome.answer_relation("Reservation")}
-        assert len(flights) == 1
+        for group_size in (2, 4, 8):
+            outcome = group_flight(group_size=group_size, seed=0)
+            assert outcome.coordinated, group_size
+            flights = {fno for _t, fno in outcome.answer_relation("Reservation")}
+            assert len(flights) == 1
 
-        hotel_outcome = group_flight_hotel(group_size=3, seed=0)
-        assert hotel_outcome.coordinated
-        assert len(hotel_outcome.answer_relation("HotelReservation")) == 3
+        for group_size in (2, 3, 4):
+            hotel_outcome = group_flight_hotel(group_size=group_size, seed=0)
+            assert hotel_outcome.coordinated, group_size
+            assert len(hotel_outcome.answer_relation("HotelReservation")) == group_size
 
     def test_many_pairs_scenario(self):
-        outcome = many_pairs(num_pairs=5, seed=0)
-        assert outcome.coordinated
-        assert outcome.result.submitted == 10
+        for num_pairs in (5, 64):
+            outcome = many_pairs(num_pairs=num_pairs, seed=0)
+            assert outcome.coordinated, num_pairs
+            assert outcome.result.submitted == 2 * num_pairs
 
     def test_adhoc_chain_scenario(self):
-        outcome = adhoc_chain(length=3, seed=0)
-        assert outcome.coordinated
-        # the whole chain ends up on one flight
-        assert len({fno for _t, fno in outcome.answer_relation("Reservation")}) == 1
+        for length in (3, 5, 7):
+            outcome = adhoc_chain(length=length, seed=0)
+            assert outcome.coordinated, length
+            # the whole chain ends up on one flight
+            assert len({fno for _t, fno in outcome.answer_relation("Reservation")}) == 1
 
     def test_loaded_system_with_noise(self):
         outcome = loaded_system(num_pairs=10, num_unmatchable=3, seed=0)
