@@ -287,15 +287,17 @@ def entangled_to_sql(query: ir.EntangledQuery) -> str:
     """
     if query.sql:
         return query.sql
-    from repro.sqlparser.pretty import format_expression, format_literal
+    from repro.sqlparser.pretty import format_expression, format_identifier, format_literal
 
     def term_sql(term: ir.Term) -> str:
-        return format_literal(term.value) if isinstance(term, ir.Constant) else term.name
+        if isinstance(term, ir.Constant):
+            return format_literal(term.value)
+        return format_identifier(term.name)
 
     head_parts = []
     for atom in query.heads:
         items = ", ".join(term_sql(term) for term in atom.terms)
-        head_parts.append(f"{items} INTO ANSWER {atom.relation}")
+        head_parts.append(f"{items} INTO ANSWER {format_identifier(atom.relation)}")
     clauses: list[str] = []
     for domain in query.domains:
         clauses.append(str(domain))
@@ -303,6 +305,6 @@ def entangled_to_sql(query: ir.EntangledQuery) -> str:
         clauses.append(format_expression(predicate.expression))
     for atom in query.answer_atoms:
         items = ", ".join(term_sql(term) for term in atom.terms)
-        clauses.append(f"({items}) IN ANSWER {atom.relation}")
+        clauses.append(f"({items}) IN ANSWER {format_identifier(atom.relation)}")
     where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
     return f"SELECT {', '.join(head_parts)}{where} CHOOSE {query.choose}"

@@ -121,9 +121,9 @@ class DomainConstraint:
     subquery: ast.Select
 
     def __str__(self) -> str:
-        from repro.sqlparser.pretty import format_statement
+        from repro.sqlparser.pretty import format_identifier, format_statement
 
-        left = ", ".join(self.variables)
+        left = ", ".join(format_identifier(name) for name in self.variables)
         if len(self.variables) > 1:
             left = f"({left})"
         return f"{left} IN ({format_statement(self.subquery)})"

@@ -23,7 +23,11 @@ Multi-head entangled queries (flight *and* hotel in one request) list several
 
 from __future__ import annotations
 
-from typing import Optional
+import re
+import threading
+from collections import OrderedDict
+from dataclasses import fields, is_dataclass
+from typing import Any, Optional
 
 from repro.errors import ParseError
 from repro.sqlparser import ast
@@ -565,7 +569,30 @@ class _Parser:
 
 
 def parse_statement(text: str) -> ast.Statement:
-    """Parse a single SQL statement (an optional trailing ``;`` is allowed)."""
+    """Parse a single SQL statement (an optional trailing ``;`` is allowed).
+
+    Texts that differ only in their single-quoted string constants share one
+    parse: see :class:`_ShapeCache`.  The result equals :func:`_parse_text`'s
+    for every input, including the :class:`ParseError` it raises.
+    """
+    pieces = _STRING_LITERAL.split(text)
+    shape = tuple(pieces[0::2])
+    if _UNCACHEABLE.search(" ".join(shape)):
+        return _parse_text(text)
+    values = [value.replace("''", "'") for value in pieces[1::2]]
+    entry = _shapes.get(shape)
+    if isinstance(entry, _Template):
+        return entry.bind(values)
+    statement = _parse_text(text)  # a failed parse records nothing
+    if entry is None:
+        _shapes.put(shape, _SEEN)
+    elif entry is _SEEN:
+        _shapes.put(shape, _Template.verified(shape, values, statement))
+    return statement
+
+
+def _parse_text(text: str) -> ast.Statement:
+    """Tokenise and parse ``text`` from scratch (the shape cache's oracle)."""
     parser = _Parser(tokenize(text))
     statement = parser.parse_statement()
     parser.accept_punct(";")
@@ -583,3 +610,131 @@ def parse_script(text: str) -> list[ast.Statement]:
         while parser.accept_punct(";"):
             pass
     return statements
+
+
+# -- the shape cache ---------------------------------------------------------------
+#
+# A travel site's users submit the same few query *shapes*, differing only in
+# names and destinations.  A shape is a text's parts outside its string
+# literals; its template is the AST of that shape parsed with a placeholder in
+# each literal, and a hit rebuilds only the spines from the root to those
+# literals, sharing every other (frozen) subtree.  The parser never looks
+# inside a string token, so every text of a shape parses to the same tree up
+# to those literals -- provided the literal boundaries found by the regex are
+# the tokenizer's, which is why a shape holding a quote, a quoted identifier
+# or a comment start is never cached.
+
+#: a whole string literal, ``''`` escapes included; the group is its body
+_STRING_LITERAL = re.compile(r"'([^']*(?:''[^']*)*)'")
+#: outside the literals, these could hide or fake a literal boundary
+_UNCACHEABLE = re.compile(r"['\"]|--|/\*")
+
+SHAPE_CACHE_CAPACITY = 256
+
+#: seen once and parsed: a second sighting templates the shape, so one-off
+#: statements (``INSERT ... VALUES (1000, ...)``) never pay a second parse
+_SEEN = object()
+#: the template did not reproduce a full parse: always parse this shape
+_BYPASS = object()
+
+
+class _Template:
+    """A shape's parse with a placeholder in each string literal."""
+
+    __slots__ = ("statement", "plan")
+
+    def __init__(self, statement: ast.Statement, plan: Any) -> None:
+        self.statement = statement
+        #: ``None`` (no literal below), a slot index (this node is the
+        #: literal) or ``{field or index: plan}`` for the children that
+        #: hold literals
+        self.plan = plan
+
+    @classmethod
+    def verified(cls, shape: tuple[str, ...], values: list[str], statement: ast.Statement) -> Any:
+        """The template of ``shape``, or :data:`_BYPASS` unless binding it
+        with ``values`` gives ``statement``, the full parse of the same text."""
+        slots = {f"\x00{index}": index for index in range(len(values))}
+        text = shape[0] + "".join(
+            f"'{placeholder}'{part}" for placeholder, part in zip(slots, shape[1:])
+        )
+        try:
+            parsed = _parse_text(text)
+        except ParseError:
+            return _BYPASS
+        template = cls(parsed, _slot_plan(parsed, slots))
+        return template if template.bind(values) == statement else _BYPASS
+
+    def bind(self, values: list[str]) -> ast.Statement:
+        return _bind(self.statement, self.plan, values) if self.plan is not None else self.statement
+
+
+def _slot_plan(node: Any, slots: dict[str, int]) -> Any:
+    if isinstance(node, ast.Literal):
+        return slots.get(node.value) if isinstance(node.value, str) else None
+    if isinstance(node, tuple):
+        children: Any = enumerate(node)
+    elif is_dataclass(node):
+        children = ((field.name, getattr(node, field.name)) for field in fields(node))
+    else:
+        return None
+    plan = {
+        key: child_plan
+        for key, child in children
+        if (child_plan := _slot_plan(child, slots)) is not None
+    }
+    return plan or None
+
+
+_set_field = object.__setattr__
+
+
+def _bind(node: Any, plan: Any, values: list[str]) -> Any:
+    if isinstance(plan, int):
+        return ast.Literal(values[plan])
+    if isinstance(node, tuple):
+        items = list(node)
+        for index, child_plan in plan.items():
+            items[index] = _bind(node[index], child_plan, values)
+        return tuple(items)
+    # A frozen dataclass: copy its fields, replacing the ones on a spine.  Set
+    # one by one, not through ``__dict__``, so the copy keeps CPython's fast
+    # inline attribute layout.
+    bound = object.__new__(type(node))
+    for name, value in node.__dict__.items():
+        child_plan = plan.get(name)
+        _set_field(bound, name, value if child_plan is None else _bind(value, child_plan, values))
+    return bound
+
+
+class _ShapeCache:
+    """A lock-guarded LRU from shape to :data:`_SEEN`, :data:`_BYPASS` or a
+    :class:`_Template`, holding at most :data:`SHAPE_CACHE_CAPACITY` shapes."""
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[tuple[str, ...], Any] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, shape: tuple[str, ...]) -> Any:
+        with self._lock:
+            entry = self._entries.get(shape)
+            if entry is not None:
+                self._entries.move_to_end(shape)
+            return entry
+
+    def put(self, shape: tuple[str, ...], entry: Any) -> None:
+        with self._lock:
+            self._entries[shape] = entry
+            self._entries.move_to_end(shape)
+            if len(self._entries) > SHAPE_CACHE_CAPACITY:
+                self._entries.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+_shapes = _ShapeCache()

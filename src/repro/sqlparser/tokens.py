@@ -20,7 +20,7 @@ KEYWORDS = {
     "HAVING", "ORDER", "ASC", "DESC", "LIMIT", "OFFSET", "DISTINCT",
     "CREATE", "TABLE", "PRIMARY", "KEY", "DROP", "IF", "EXISTS",
     "INSERT", "VALUES", "UPDATE", "SET", "DELETE", "NULL", "TRUE", "FALSE",
-    "IS", "BETWEEN", "LIKE", "NOT", "CROSS", "UNION", "ALL",
+    "IS", "BETWEEN", "LIKE", "CROSS", "UNION", "ALL",
 }
 
 

@@ -7,28 +7,32 @@ import string
 from hypothesis import given, settings, strategies as st
 
 from repro.sqlparser import ast, format_statement, parse_statement
+from repro.sqlparser.tokens import KEYWORDS
 
 # -- strategies -----------------------------------------------------------------
 
-identifiers = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=8).filter(
-    lambda name: name.upper() not in {
-        "SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "IN", "INTO", "ANSWER", "CHOOSE",
-        "AS", "JOIN", "INNER", "LEFT", "OUTER", "ON", "GROUP", "BY", "HAVING", "ORDER",
-        "ASC", "DESC", "LIMIT", "OFFSET", "DISTINCT", "CREATE", "TABLE", "PRIMARY", "KEY",
-        "DROP", "IF", "EXISTS", "INSERT", "VALUES", "UPDATE", "SET", "DELETE", "NULL",
-        "TRUE", "FALSE", "IS", "BETWEEN", "LIKE", "CROSS", "UNION", "ALL",
-    }
+# Bare words, keywords (which the printer must quote) and names only a quoted
+# identifier can spell: leading digits, spaces, quotes, punctuation.
+identifiers = st.one_of(
+    st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=8),
+    st.sampled_from(sorted(KEYWORDS)).flatmap(
+        lambda word: st.sampled_from([word, word.lower(), word.capitalize()])
+    ),
+    st.text(alphabet=string.ascii_letters + string.digits + " '_-.;", min_size=1, max_size=8),
 )
 
 string_literals = st.text(
     alphabet=string.ascii_letters + string.digits + " '.,-", max_size=12
 )
 
+positive_floats = st.floats(min_value=1e-7, max_value=1e300, allow_nan=False, allow_infinity=False)
+
 literals = st.one_of(
     st.integers(min_value=-10_000, max_value=10_000).map(ast.Literal),
     st.booleans().map(ast.Literal),
     st.just(ast.Literal(None)),
     string_literals.map(ast.Literal),
+    st.one_of(positive_floats, positive_floats.map(lambda value: -value)).map(ast.Literal),
 )
 
 column_refs = st.builds(
@@ -135,4 +139,17 @@ def test_insert_round_trip(values):
     statement = ast.Insert(table="t", columns=(), rows=(tuple(values),))
     formatted = format_statement(statement)
     reparsed = parse_statement(formatted)
+    assert reparsed == statement
     assert format_statement(reparsed) == formatted
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(identifiers, min_size=1, max_size=4), identifiers)
+def test_create_and_insert_identifiers_round_trip(columns, table):
+    """Every identifier the dialect can spell survives print-then-parse."""
+    create = ast.CreateTable(
+        table, tuple(ast.ColumnDefinition(name, "INT") for name in columns), (columns[0],)
+    )
+    assert parse_statement(format_statement(create)) == create
+    insert = ast.Insert(table, tuple(columns), (tuple(ast.Literal(1.5e-7) for _ in columns),))
+    assert parse_statement(format_statement(insert)) == insert

@@ -200,3 +200,18 @@ class TestRendering:
         assert "INTO ANSWER Reservation" in text
         assert "IN ANSWER Reservation" in text
         assert text.endswith("CHOOSE 1")
+
+    def test_built_query_with_keyword_names_recompiles_from_its_sql(self):
+        """A built query journals ``entangled_to_sql``: a variable or relation
+        named by a keyword, and a float with an exponent, must read back."""
+        query = (
+            EntangledQueryBuilder(owner="Jerry")
+            .head("Order", "Jerry", var("order"), 1e-05)
+            .domain("order", 'SELECT "order" FROM Flights')
+            .require("Order", "Kramer", var("order"))
+            .build()
+        )
+        recompiled = compile_entangled(entangled_to_sql(query))
+        assert recompiled.heads == query.heads
+        assert recompiled.answer_atoms == query.answer_atoms
+        assert [d.variables for d in recompiled.domains] == [("order",)]

@@ -314,6 +314,35 @@ class TestRecovery:
         assert recovered.query("SELECT * FROM T ORDER BY k").rows == before
         recovered.close()
 
+    def test_keyword_identifiers_and_small_floats_survive_a_crash(self, tmp_path):
+        """The journal holds pretty-printed SQL, so a quoted keyword column
+        and a float that ``repr`` writes with an exponent must re-parse."""
+        system = build_system(tmp_path)
+        system.execute('CREATE TABLE F (fno INT PRIMARY KEY, "order" INT, w FLOAT)')
+        system.execute("INSERT INTO F VALUES (1, 1, 0.00001), (2, 2, 0.5)")
+        system.declare_answer_relation("Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"])
+        pending = system.submit_entangled(
+            "SELECT 'Jerry', fno INTO ANSWER Reservation "
+            "WHERE fno IN (SELECT fno FROM F WHERE \"order\" = 1 AND w < 0.0001) "
+            "AND fno > 0.00001 AND ('Kramer', fno) IN ANSWER Reservation CHOOSE 1",
+            owner="Jerry",
+        )
+        assert pending.status is QueryStatus.PENDING
+        before = system.query('SELECT fno, "order", w FROM F ORDER BY fno').rows
+        crash(system)
+
+        recovered = build_system(tmp_path)
+        assert recovered.recovery.replay_errors == []
+        assert recovered.recovery.pending_recovered == 1
+        assert recovered.query('SELECT fno, "order", w FROM F ORDER BY fno').rows == before
+        kramer = recovered.submit_entangled(
+            "SELECT 'Kramer', fno INTO ANSWER Reservation "
+            "WHERE fno IN (SELECT fno FROM F) AND ('Jerry', fno) IN ANSWER Reservation CHOOSE 1",
+            owner="Kramer",
+        )
+        assert kramer.status is QueryStatus.ANSWERED
+        recovered.close()
+
     def test_snapshot_between_registration_and_commit_record(self, tmp_path):
         """A commit in the log tail lands on queries the snapshot holds pending."""
         system = build_system(tmp_path)

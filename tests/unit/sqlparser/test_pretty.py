@@ -65,3 +65,53 @@ def test_unknown_node_rejected():
 
     with pytest.raises(TypeError):
         format_expression(Bogus())
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        'SELECT "it\'s" FROM F',
+        'SELECT "order", "my col" AS "group" FROM "from" AS "t t"',
+        'CREATE TABLE F (fno INT PRIMARY KEY, "order" INT)',
+        'INSERT INTO "select" ("key", "a b") VALUES (1, 2)',
+        'UPDATE F SET "order" = 2 WHERE "order" = 1',
+        "SELECT 'a', \"order\" INTO ANSWER \"Answer\" WHERE \"order\" IN (SELECT \"order\" FROM F) "
+        "AND ('b', \"order\") IN ANSWER \"Answer\" CHOOSE 1",
+    ],
+)
+def test_quoted_identifiers_survive_a_round_trip(sql: str):
+    """A keyword or non-word identifier is printed quoted, so it re-parses."""
+    first = parse_statement(sql)
+    formatted = format_statement(first)
+    assert parse_statement(formatted) == first
+    assert format_statement(parse_statement(formatted)) == formatted
+
+
+def test_plain_identifiers_stay_bare():
+    assert format_statement(parse_statement('SELECT "fno" FROM "Flights"')) == (
+        "SELECT fno FROM Flights"
+    )
+    assert format_statement(parse_statement('SELECT "it\'s" FROM F')) == 'SELECT "it\'s" FROM F'
+
+
+@pytest.mark.parametrize(
+    "value", [1e-05, -1e-07, 0.1, 1.5, 1e16, -2.5e22, 1e300, 5e-324, 1.7976931348623157e308]
+)
+def test_floats_print_positionally_and_round_trip_exactly(value: float):
+    text = format_expression(ast.Literal(value))
+    assert "e" not in text and "." in text
+    reparsed = parse_statement(f"SELECT 1 WHERE x = {text}").where.right.value
+    assert isinstance(reparsed, float) and reparsed == value
+    insert = format_statement(ast.Insert("T", (), ((ast.Literal(1), ast.Literal(value)),)))
+    assert parse_statement(insert).rows[0][1].value == value
+
+
+def test_compiled_sql_with_a_small_float_recompiles():
+    from repro.core.compiler import compile_entangled
+
+    query = compile_entangled(
+        "SELECT 'a', fno INTO ANSWER R WHERE fno IN (SELECT fno FROM F) "
+        "AND fno > 0.00001 CHOOSE 1"
+    )
+    assert "e-" not in query.sql
+    assert compile_entangled(query.sql).sql == query.sql
