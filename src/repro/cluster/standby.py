@@ -158,7 +158,7 @@ class _ReadOnlyUntilPromoted(AsyncCoordinationServer):
 
     async def _op_promote(self, _connection: Any) -> dict[str, Any]:
         # promotion waits up to its drain grace: never on the loop
-        return await self.aservice._run(self._standby.promote)
+        return await self._run(self._standby.promote)
 
 
 class StandbyServer(BackgroundAsyncServer):

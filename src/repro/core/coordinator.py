@@ -303,7 +303,15 @@ class Coordinator:
         compiled = [self._coerce_query(query, owner) for query in queries]
 
         batch: list[CoordinationRequest] = []
-        with self._lock:
+        # A tiered pool keeps the batch hot until its match pass is done: a
+        # member spilled by the batch's own registrations would be matched
+        # as its stub, without its constraints.
+        pinned = (
+            self._tiering.pool.pinned(query.query_id for query in compiled)
+            if self._tiering is not None
+            else nullcontext()
+        )
+        with self._lock, pinned:
             # One group-commit scope around *registration only*: the batch's
             # submit records share a single fsync, but the scope must close
             # before the deferred match pass — a commit record appended
@@ -650,12 +658,21 @@ class Coordinator:
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
-                        self.statistics.queries_timed_out += 1
-                        self.events.publish(EventType.QUERY_TIMED_OUT, query_id=query_id)
+                        self.record_wait_timeout(query_id)
                         # deadline is only set for a non-None timeout: report
                         # the caller's actual value, 0 included.
                         raise CoordinationTimeoutError(query_id, timeout)
                 self._answered.wait(remaining)
+
+    def record_wait_timeout(self, query_id: str) -> None:
+        """Count one timed-out wait on ``query_id`` and publish it.
+
+        Shared by :meth:`wait` and the network server's callback-driven
+        ``wait``, so both report timeouts identically.
+        """
+        with self._lock:
+            self.statistics.queries_timed_out += 1
+            self.events.publish(EventType.QUERY_TIMED_OUT, query_id=query_id)
 
     def wait_many(
         self, query_ids: Iterable[str], timeout: Optional[float] = None

@@ -49,7 +49,8 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Any, Callable, Iterator, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.core import ir
 from repro.core.compiler import compile_entangled, entangled_to_sql
@@ -115,6 +116,8 @@ class TieredPool:
         # exactly the order an untiered dict pool would — tier transitions
         # reorder ``_hot`` for LRU accounting but never the visible order.
         self._seq: dict[str, None] = {}
+        #: Ids that must stay hot: eviction passes over them (see pinned()).
+        self._pinned: frozenset[str] = frozenset()
         self.evictions = 0
         self.page_ins = 0
         self.page_in_seconds = 0.0
@@ -210,12 +213,29 @@ class TieredPool:
     def cold_ids(self) -> list[str]:
         return list(self._cold)
 
+    @contextmanager
+    def pinned(self, query_ids: Iterable[str]) -> Iterator[None]:
+        """Keep ``query_ids`` hot inside the block, then evict the overflow.
+
+        While pinned queries fill the hot tier it may exceed the memory
+        limit; the block's end brings it back under.
+        """
+        self._pinned = frozenset(query_ids)
+        try:
+            yield
+        finally:
+            self._pinned = frozenset()
+            self._evict_overflow()
+
     # -- tier transitions --------------------------------------------------------------
 
     def _evict_overflow(self) -> None:
         capacity = self._manager.memory_limit
         while len(self._hot) > capacity:
-            victim_id = next(iter(self._hot))
+            # least recently probed first, passing over pinned queries
+            victim_id = next((qid for qid in self._hot if qid not in self._pinned), None)
+            if victim_id is None:
+                return
             victim = self._hot.pop(victim_id)
             self._manager.backend.put(
                 victim_id,
@@ -261,9 +281,9 @@ class TieringManager:
 
     The coordinator creates one manager when ``pending_memory_limit`` is
     configured and uses its :attr:`pool` as the pending pool.
-    ``pending_memory_limit`` bounds the fully-materialized pending queries;
-    it is at least one, because the query being matched must be
-    materialized.
+    ``pending_memory_limit`` bounds the fully-materialized pending queries
+    outside a pinned batch (see :meth:`TieredPool.pinned`); it is at least
+    one, because the query being matched must be materialized.
     """
 
     def __init__(

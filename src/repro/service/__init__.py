@@ -14,12 +14,13 @@ Public surface (also re-exported from the top-level :mod:`repro` package):
 * :class:`~repro.service.inprocess.InProcessService` — the in-process
   implementation
 * the asyncio surface (:mod:`repro.service.aio`):
-  :class:`~repro.service.aio.AsyncCoordinationService` protocols, awaitable
-  :class:`~repro.service.aio.AsyncRequestHandle` objects,
-  :class:`~repro.service.aio.AsyncInProcessService`, and the single-event-loop
-  JSON-over-TCP network plane (:class:`~repro.service.aio.AsyncCoordinationServer`
-  / :class:`~repro.service.aio.BackgroundAsyncServer` and the multiplexed
-  :class:`~repro.service.aio.AsyncRemoteService` client)
+  :class:`~repro.service.aio.AsyncCoordinationService` protocols and the
+  single-event-loop JSON-over-TCP network plane
+  (:class:`~repro.service.aio.AsyncCoordinationServer` /
+  :class:`~repro.service.aio.BackgroundAsyncServer`, which host an
+  :class:`InProcessService`, and the multiplexed
+  :class:`~repro.service.aio.AsyncRemoteService` client with its awaitable
+  :class:`~repro.service.aio.AsyncRemoteHandle` objects)
 * :class:`~repro.service.remote.RemoteService` — the synchronous network
   client (same protocols, remote system), a
   :class:`~repro.service.aio.BridgedService` over one async connection
@@ -36,14 +37,11 @@ from repro.core.config import SystemConfig
 from repro.service.aio import (
     AsyncCoordinationServer,
     AsyncCoordinationService,
-    AsyncInProcessService,
     AsyncIntrospectionService,
     AsyncRemoteHandle,
     AsyncRemoteService,
-    AsyncRequestHandle,
     BackgroundAsyncServer,
     BridgedService,
-    connect_async,
 )
 from repro.service.api import (
     AnswerEnvelope,
@@ -63,11 +61,9 @@ __all__ = [
     "AnswerEnvelope",
     "AsyncCoordinationServer",
     "AsyncCoordinationService",
-    "AsyncInProcessService",
     "AsyncIntrospectionService",
     "AsyncRemoteHandle",
     "AsyncRemoteService",
-    "AsyncRequestHandle",
     "BackgroundAsyncServer",
     "BridgedService",
     "CoordinationService",
@@ -81,5 +77,4 @@ __all__ = [
     "SubmitRequest",
     "SystemConfig",
     "TransportMetrics",
-    "connect_async",
 ]

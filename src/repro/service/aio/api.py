@@ -9,17 +9,13 @@ call surface changes: every method is a coroutine, and ``submit`` /
 ``submit_many`` return **awaitable handles** (``await handle`` yields the
 :class:`~repro.service.api.AnswerEnvelope`) instead of thread-blocking ones.
 
-Two implementations exist:
-
-* :class:`~repro.service.aio.inprocess.AsyncInProcessService` — wraps the
-  synchronous :class:`~repro.service.InProcessService`; blocking matching and
-  durability work runs on an executor, never on the event loop, and waiting
-  is bridged from the coordinator's thread-side completion callbacks via
-  ``loop.call_soon_threadsafe`` — thousands of pending queries cost zero
-  threads while they wait.
-* :class:`~repro.service.aio.client.AsyncRemoteService` — one multiplexed
-  TCP connection to a coordination server (either transport), speaking the
-  exact wire codec of :mod:`repro.service.remote.codec`.
+The implementation is :class:`~repro.service.aio.client.AsyncRemoteService`:
+one multiplexed TCP connection to a coordination server (or the cluster
+router), speaking the wire codec of :mod:`repro.service.remote.codec`.  The
+server, :class:`~repro.service.aio.server.AsyncCoordinationServer`, runs the
+blocking work of an in-process service on its own thread pool and bridges
+the coordinator's completion callbacks onto its loop, so thousands of
+pending queries cost zero threads while they wait.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ from repro.service.api import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.service.aio.handles import AsyncRequestHandle
+    from repro.service.aio.client import AsyncRemoteHandle
 
 
 @runtime_checkable
@@ -52,13 +48,13 @@ class AsyncCoordinationService(Protocol):
 
     async def submit(
         self, request: Submittable, owner: Optional[str] = None
-    ) -> "AsyncRequestHandle":
+    ) -> "AsyncRemoteHandle":
         """Submit one entangled query; returns an awaitable handle."""
         ...
 
     async def submit_many(
         self, requests: Sequence[Submittable], owner: Optional[str] = None
-    ) -> list["AsyncRequestHandle"]:
+    ) -> list["AsyncRemoteHandle"]:
         """Submit a batch in one coordination pass; one handle per request."""
         ...
 
@@ -93,11 +89,11 @@ class AsyncCoordinationService(Protocol):
 class AsyncIntrospectionService(Protocol):
     """Admin-grade extensions, awaitable flavour."""
 
-    async def request(self, query_id: str) -> "AsyncRequestHandle":
+    async def request(self, query_id: str) -> "AsyncRemoteHandle":
         """A handle for an already-registered query."""
         ...
 
-    async def requests(self) -> list["AsyncRequestHandle"]:
+    async def requests(self) -> list["AsyncRemoteHandle"]:
         """Handles for every request ever registered."""
         ...
 

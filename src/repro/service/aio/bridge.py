@@ -1,19 +1,15 @@
-"""Drive an async coordination service from synchronous code.
+"""The synchronous network client: an async connection driven from sync code.
 
 :class:`BridgedService` owns a private event loop on a daemon thread and
-projects an :class:`~repro.service.aio.api.AsyncCoordinationService` /
-:class:`~repro.service.aio.api.AsyncIntrospectionService` implementation
-back onto the *synchronous* service surface — the inverse adapter of
-:class:`~repro.service.aio.inprocess.AsyncInProcessService`.
-
-Its main use is the synchronous network client: :meth:`BridgedService.connect`
-(published as :class:`~repro.service.remote.RemoteService`) wraps one
-multiplexed :class:`~repro.service.aio.client.AsyncRemoteService`
-connection, so application code written against the in-process service —
-the CLI shell, the examples, the conformance scenarios — runs against a
-remote one unchanged.  ``result()`` and ``add_done_callback`` stay
-push-driven, and a lost connection fails every in-flight call and pending
-handle fast with :class:`~repro.errors.ServiceUnavailableError`.
+projects one multiplexed :class:`~repro.service.aio.client.AsyncRemoteService`
+connection back onto the *synchronous* service surface.
+:meth:`BridgedService.connect` (published as
+:class:`~repro.service.remote.RemoteService`) opens it, so application code
+written against the in-process service — the CLI shell, the examples, the
+conformance scenarios — runs against a remote one unchanged.  ``result()``
+and ``add_done_callback`` stay push-driven, and a lost connection fails
+every in-flight call and pending handle fast with
+:class:`~repro.errors.ServiceUnavailableError`.
 
 Completion callbacks registered through a :class:`BridgedHandle` run on a
 dedicated dispatcher thread, so a callback may freely call back into the
@@ -26,7 +22,7 @@ from __future__ import annotations
 import asyncio
 import queue
 import threading
-from typing import Any, Callable, Coroutine, Optional, Sequence, TypeVar, Union
+from typing import TYPE_CHECKING, Any, Callable, Coroutine, Optional, Sequence, TypeVar, Union
 
 from repro.core import ir
 from repro.errors import EntanglementError, ServiceUnavailableError
@@ -37,16 +33,21 @@ from repro.service.api import (
     Submittable,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.aio.client import AsyncRemoteHandle
+
 _T = TypeVar("_T")
 
 
 class BridgedHandle:
     """A synchronous, future-style view of one awaitable handle."""
 
-    def __init__(self, bridge: "BridgedService", handle: Any, tag: Optional[str] = None) -> None:
+    def __init__(
+        self, bridge: "BridgedService", handle: "AsyncRemoteHandle", tag: Optional[str] = None
+    ) -> None:
         self._bridge = bridge
         self._handle = handle
-        self.tag = tag if tag is not None else getattr(handle, "tag", None)
+        self.tag = tag if tag is not None else handle.tag
 
     # -- live state (attribute reads are loop-thread writes, GIL-atomic) ----------------------
 
@@ -163,18 +164,12 @@ class BridgedHandle:
 
 class BridgedService:
     """A synchronous :class:`~repro.service.api.CoordinationService` facade
-    over any async service, hosted on a private event-loop thread."""
+    over one :class:`AsyncRemoteService` connection, hosted on a private
+    event-loop thread.  Open it with :meth:`connect`."""
 
     def __init__(
-        self,
-        service: Optional[Any] = None,
-        service_factory: Optional[Callable[[], Coroutine[Any, Any, Any]]] = None,
+        self, host: str = "127.0.0.1", port: int = 7399, connect_timeout: Optional[float] = 5.0
     ) -> None:
-        """Wrap ``service`` directly, or await ``service_factory()`` on the
-        bridge loop (for services whose construction is itself async, e.g.
-        :meth:`~repro.service.aio.client.AsyncRemoteService.connect`)."""
-        if (service is None) == (service_factory is None):
-            raise ValueError("provide exactly one of 'service' or 'service_factory'")
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
             target=self._loop.run_forever, name="youtopia-aio-bridge", daemon=True
@@ -188,8 +183,14 @@ class BridgedService:
         )
         self._dispatcher.start()
         self._closed = False
+        # imported here: the client's codec import loads repro.service.remote,
+        # which imports this module
+        from repro.service.aio.client import AsyncRemoteService
+
         try:
-            self.aservice = service if service is not None else self.run(service_factory())
+            self.aservice = self.run(
+                AsyncRemoteService.connect(host=host, port=port, connect_timeout=connect_timeout)
+            )
         except BaseException:
             self._teardown()
             raise
@@ -199,13 +200,7 @@ class BridgedService:
         cls, host: str = "127.0.0.1", port: int = 7399, connect_timeout: Optional[float] = 5.0
     ) -> "BridgedService":
         """Open a synchronous client over an :class:`AsyncRemoteService` connection."""
-        from repro.service.aio.client import AsyncRemoteService
-
-        return cls(
-            service_factory=lambda: AsyncRemoteService.connect(
-                host=host, port=port, connect_timeout=connect_timeout
-            )
-        )
+        return cls(host=host, port=port, connect_timeout=connect_timeout)
 
     # -- plumbing -------------------------------------------------------------------------------
 
@@ -234,7 +229,7 @@ class BridgedService:
             except Exception:  # noqa: BLE001 - observer failures stay contained
                 pass
 
-    def _wrap(self, handle: Any, tag: Optional[str] = None) -> BridgedHandle:
+    def _wrap(self, handle: "AsyncRemoteHandle", tag: Optional[str] = None) -> BridgedHandle:
         return BridgedHandle(self, handle, tag=tag)
 
     # -- lifecycle ------------------------------------------------------------------------------
@@ -336,7 +331,7 @@ class BridgedService:
     def retry_pending(self) -> int:
         return int(self.run(self.aservice.retry_pending()))
 
-    # -- remote connections only ---------------------------------------------------------------
+    # -- the connection -------------------------------------------------------------------------
 
     @property
     def frames_sent(self) -> int:

@@ -30,13 +30,17 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import itertools
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Callable, Generator, Optional, Sequence, Union
 
 from repro.core import ir
 from repro.core.compiler import compile_entangled
 from repro.core.coordinator import QueryStatus
-from repro.errors import EntanglementError, ProtocolError, ServiceUnavailableError
-from repro.service.aio.handles import AwaitableHandle, _mark_retrieved
+from repro.errors import (
+    CoordinationTimeoutError,
+    EntanglementError,
+    ProtocolError,
+    ServiceUnavailableError,
+)
 from repro.service.api import (
     AnswerEnvelope,
     RelationResult,
@@ -51,15 +55,25 @@ from repro.sqlparser.pretty import format_statement
 _TERMINAL = (QueryStatus.ANSWERED, QueryStatus.CANCELLED, QueryStatus.REJECTED)
 
 
-class AsyncRemoteHandle(AwaitableHandle):
+def _mark_retrieved(future: "asyncio.Future[Any]") -> None:
+    """Read a failed future's exception so GC never logs it as unretrieved.
+
+    A handle may legitimately never be awaited (a fire-and-forget submission
+    observed through callbacks); its failure must not turn into an
+    'exception was never retrieved' warning at collection time.
+    """
+    if not future.cancelled():
+        future.exception()
+
+
+class AsyncRemoteHandle:
     """An awaitable, push-driven handle for one remotely submitted query.
 
-    State transitions arrive as server pushes that resolve the handle's
-    future on the event loop; a lost connection fails the handle with
+    ``await handle`` suspends the coroutine until the query is answered and
+    yields the :class:`~repro.service.api.AnswerEnvelope`.  State
+    transitions arrive as server pushes that resolve the handle's future on
+    the event loop; a lost connection fails the handle with
     :class:`~repro.errors.ServiceUnavailableError` instead of hanging.
-    The awaitable surface (``await handle`` / ``result`` / ``exception`` /
-    ``add_done_callback`` / identity) is shared with the in-process handle
-    via :class:`~repro.service.aio.handles.AwaitableHandle`.
     """
 
     def __init__(
@@ -181,10 +195,52 @@ class AsyncRemoteHandle(AwaitableHandle):
     def answered_at(self) -> Optional[float]:
         return self._answered_at
 
-    # -- handle-specific operations (the awaitable surface lives on the base) ----------------
+    # -- the awaitable surface ---------------------------------------------------------------
 
-    def _wait_future(self) -> "asyncio.Future[AnswerEnvelope]":
-        return self._future
+    def __await__(self) -> Generator[Any, None, AnswerEnvelope]:
+        return self.result().__await__()
+
+    async def result(self, timeout: Optional[float] = None) -> AnswerEnvelope:
+        """Suspend until answered and return the envelope (never blocks a thread).
+
+        Raises :class:`~repro.errors.CoordinationTimeoutError` on timeout and
+        :class:`~repro.errors.EntanglementError` if the query was cancelled
+        or rejected — the same contract as the synchronous handles'
+        ``result``.  A timeout abandons only *this* wait: the shared future
+        stays live for other awaiters and callbacks.
+        """
+        try:
+            return await asyncio.wait_for(asyncio.shield(self._future), timeout)
+        except asyncio.TimeoutError:
+            raise CoordinationTimeoutError(self._query_id, timeout) from None
+
+    async def exception(self, timeout: Optional[float] = None) -> Optional[EntanglementError]:
+        """The terminal error, or ``None`` if answered (suspends like result)."""
+        try:
+            await self.result(timeout=timeout)
+        except CoordinationTimeoutError:
+            raise
+        except EntanglementError as exc:
+            return exc
+        return None
+
+    def add_done_callback(self, fn: Callable[["AsyncRemoteHandle"], Any]) -> None:
+        """Run ``fn(handle)`` on the event loop once the request is terminal.
+
+        Unlike the thread-world handles, the callback *always* runs on the
+        loop (via ``call_soon``), even when the request is already terminal —
+        asyncio callers never see a callback fire re-entrantly inside
+        ``add_done_callback``.  Callback exceptions are swallowed, mirroring
+        the synchronous callback guard.
+        """
+
+        def runner(_future: "asyncio.Future[AnswerEnvelope]") -> None:
+            try:
+                fn(self)
+            except Exception:  # noqa: BLE001 - observer failures stay contained
+                pass
+
+        self._future.add_done_callback(runner)
 
     def done(self) -> bool:
         """Whether the request reached a terminal state (any outcome)."""
@@ -194,11 +250,25 @@ class AsyncRemoteHandle(AwaitableHandle):
         return self._status is QueryStatus.CANCELLED
 
     def settled_result(self) -> AnswerEnvelope:
+        """A terminal handle's outcome, read without the event loop.
+
+        Returns the envelope or raises what :meth:`result` would.  Only
+        valid once ``done()`` is true; it works after the loop has closed.
+        """
         return self._future.result()
 
     async def cancel(self) -> None:
         """Withdraw this query from the pending pool (server round trip)."""
         await self._service.cancel(self._query_id)
+
+    def __eq__(self, other: object) -> bool:
+        other_id = getattr(other, "query_id", None)
+        if other_id is None:
+            return NotImplemented
+        return self._query_id == other_id
+
+    def __hash__(self) -> int:
+        return hash(self._query_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -578,12 +648,3 @@ class AsyncRemoteService:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AsyncRemoteService({self.host}:{self.port})"
-
-
-async def connect_async(
-    host: str = "127.0.0.1", port: int = 7399, connect_timeout: Optional[float] = 5.0
-) -> AsyncRemoteService:
-    """Connect to a coordination server asynchronously."""
-    return await AsyncRemoteService.connect(
-        host=host, port=port, connect_timeout=connect_timeout
-    )

@@ -17,15 +17,17 @@
   ``transport.rejected_backpressure``) instead of queueing without bound;
 * writes flow through a per-connection outbox task, so ``writer.drain()``
   exerts TCP backpressure without interleaving frames;
-* blocking compute (matching, SQL, durability) is dispatched through the
-  wrapped :class:`~repro.service.aio.inprocess.AsyncInProcessService`'s
-  executor; cheap introspection reads (``stats``, ``answers``, ``hello``)
-  are served inline on the loop;
+* blocking compute (matching, SQL, durability) runs on the server's own
+  thread pool (:data:`EXECUTOR_WORKERS` threads named ``youtopia-aio``),
+  one hop per operation, against the hosted
+  :class:`~repro.service.inprocess.InProcessService`; cheap introspection
+  reads (``stats``, ``answers``, ``hello``) are served inline on the loop;
 * for every handle a client holds, the server registers a coordinator
   done-callback that **pushes** the final request state to that client the
   moment the query is answered, cancelled or rejected, and ``wait`` is
-  served by the same callbacks bridged onto the loop — ten thousand clients
-  awaiting pending queries hold ten thousand futures, zero server threads;
+  served by one such callback per waited query, bridged onto the loop —
+  ten thousand clients awaiting pending queries hold ten thousand futures,
+  zero server threads;
 * ``wal_subscribe`` turns a connection into a standby's log stream (see
   :class:`_WalShipper`).
 
@@ -46,13 +48,18 @@ import dataclasses
 import os
 import socket
 import threading
-from typing import Any, Optional, Sequence
+from concurrent.futures import ThreadPoolExecutor
+from typing import Any, Callable, Optional, Sequence, TypeVar
 
 from repro.core.compiler import compile_entangled
 from repro.core.config import SystemConfig
-from repro.errors import ProtocolError, ServiceUnavailableError
-from repro.service.aio.handles import AsyncRequestHandle
-from repro.service.aio.inprocess import AsyncInProcessService
+from repro.core.coordinator import CoordinationRequest, QueryStatus
+from repro.errors import (
+    CoordinationTimeoutError,
+    EntanglementError,
+    ProtocolError,
+    ServiceUnavailableError,
+)
 from repro.service.handles import RequestHandle
 from repro.service.inprocess import InProcessService
 from repro.service.metrics import TransportMetrics
@@ -62,6 +69,12 @@ from repro.service.remote import codec
 #: well-behaved client pipelines, far below what an unbounded queue would
 #: let one connection park on the server.
 DEFAULT_MAX_IN_FLIGHT = 128
+
+#: Threads in the server's blocking-work pool.  Sized for compute dispatch,
+#: not for waiting: waits are callback-driven and hold no thread.
+EXECUTOR_WORKERS = 8
+
+_T = TypeVar("_T")
 
 
 class _AsyncConnection:
@@ -395,16 +408,26 @@ class AsyncCoordinationServer(AsyncServerBase):
         owns_service = service is None
         self.service = service or InProcessService(config=config)
         self._close_service = owns_service if close_service is None else close_service
-        self.aservice = AsyncInProcessService(service=self.service)
+        self._executor = ThreadPoolExecutor(
+            max_workers=EXECUTOR_WORKERS, thread_name_prefix="youtopia-aio"
+        )
+        #: One loop-side future per query some ``wait`` is suspended on,
+        #: resolved by a single coordinator callback: a client retrying a
+        #: timed-out wait adds no callback.  Entries leave on resolution.
+        self._waits: dict[str, "asyncio.Future[CoordinationRequest]"] = {}
+
+    async def _run(self, fn: Callable[..., _T], *args: Any) -> _T:
+        """Run blocking service work on the server's pool, never on the loop."""
+        return await asyncio.get_running_loop().run_in_executor(self._executor, fn, *args)
 
     async def _close_resources(self) -> None:
-        if self._close_service:
-            # the shutdown checkpoint can fsync: keep it off the loop
-            await self.aservice.close()
-        else:
-            # the executor is server-owned either way; a caller-provided
-            # service keeps running, but the dispatch pool must not leak
-            self.aservice.shutdown_executor()
+        try:
+            if self._close_service:
+                # the shutdown checkpoint can fsync: keep it off the loop
+                await self._run(self.service.close)
+        finally:
+            # a caller-provided service keeps running, but the pool is ours
+            self._executor.shutdown(wait=False)
 
     # -- push notifications -----------------------------------------------------------------
 
@@ -452,7 +475,7 @@ class AsyncCoordinationServer(AsyncServerBase):
     async def _op_submit(
         self, connection: _AsyncConnection, item: Any = None
     ) -> dict[str, Any]:
-        handle = await self.aservice._run(self._compile_and_submit_one, item)
+        handle = await self._run(self._compile_and_submit_one, item)
         return self._state_and_watch(connection, handle)
 
     @staticmethod
@@ -483,21 +506,77 @@ class AsyncCoordinationServer(AsyncServerBase):
     ) -> list[dict[str, Any]]:
         if not isinstance(items, list):
             raise ProtocolError("submit_many expects a list of submission items")
-        handles = await self.aservice._run(self._compile_and_submit_batch, items)
+        handles = await self._run(self._compile_and_submit_batch, items)
         return [self._state_and_watch(connection, handle) for handle in handles]
 
     def _compile_and_submit_batch(self, items: list[Any]) -> list[RequestHandle]:
         queries = [self._compile_item(item) for item in items]
         return self.service.submit_many(queries)
 
+    async def _wait(self, query_id: str, timeout: Optional[float]) -> None:
+        """Suspend until ``query_id`` is answered; no server thread parks.
+
+        Raises like :meth:`~repro.core.coordinator.Coordinator.wait`:
+        :class:`~repro.errors.QueryNotPendingError` for an unknown id,
+        :class:`~repro.errors.EntanglementError` for a cancelled or rejected
+        query, :class:`~repro.errors.CoordinationTimeoutError` (counted by
+        the coordinator) on deadline.  A timeout abandons only this wait:
+        the shared future stays live for the other waiters.
+        """
+        future = self._waits.get(query_id)
+        if future is None:
+            future = self._waits[query_id] = self._watch_terminal(query_id)
+        try:
+            request = await asyncio.wait_for(asyncio.shield(future), timeout)
+        except asyncio.TimeoutError:
+            await self._run(self.service.coordinator.record_wait_timeout, query_id)
+            raise CoordinationTimeoutError(query_id, timeout) from None
+        if request.status is not QueryStatus.ANSWERED:
+            raise EntanglementError(
+                f"query {query_id!r} is {request.status.value}: {request.error or ''}"
+            )
+
+    def _watch_terminal(self, query_id: str) -> "asyncio.Future[CoordinationRequest]":
+        """A loop future resolved by one coordinator callback, registered off-loop.
+
+        The callback fires in the completing thread (or at once on the
+        executor for a terminal query) and hops onto the loop.  A failed
+        registration, such as an unknown id, fails the future instead.
+        """
+        loop = asyncio.get_running_loop()
+        future: "asyncio.Future[CoordinationRequest]" = loop.create_future()
+
+        def forget(done: "asyncio.Future[CoordinationRequest]") -> None:
+            self._waits.pop(query_id, None)
+            if not done.cancelled():
+                done.exception()  # retrieved: a failure nobody awaits is not logged
+
+        future.add_done_callback(forget)
+
+        def settle(request: CoordinationRequest) -> None:
+            if not future.done():
+                future.set_result(request)
+
+        def resolve(request: CoordinationRequest) -> None:
+            try:
+                loop.call_soon_threadsafe(settle, request)
+            except RuntimeError:  # loop already torn down
+                pass
+
+        def registered(done: "asyncio.Future[None]") -> None:
+            failure = done.exception()
+            if failure is not None and not future.done():
+                future.set_exception(failure)
+
+        loop.run_in_executor(
+            self._executor, self.service.coordinator.add_done_callback, query_id, resolve
+        ).add_done_callback(registered)
+        return future
+
     async def _op_wait(
         self, _connection: _AsyncConnection, query_id: str, timeout: Optional[float] = None
     ) -> dict[str, Any]:
-        # Callback-driven: no server thread parks for the duration of the
-        # wait, however many clients wait however long.  The async service
-        # shares one handle per pending query, so a client polling wait()
-        # in a timeout-retry loop cannot accumulate coordinator callbacks.
-        await self.aservice.wait(query_id, timeout=timeout)
+        await self._wait(query_id, timeout)
         return codec.encode_request_state(self.service.request(query_id))
 
     async def _op_wait_many(
@@ -506,21 +585,23 @@ class AsyncCoordinationServer(AsyncServerBase):
         query_ids: Sequence[str],
         timeout: Optional[float] = None,
     ) -> list[dict[str, Any]]:
-        await self.aservice.wait_many(list(query_ids), timeout=timeout)
+        loop = asyncio.get_running_loop()
+        deadline = None if timeout is None else loop.time() + timeout
+        for query_id in query_ids:
+            remaining = None if deadline is None else max(deadline - loop.time(), 0.0)
+            await self._wait(query_id, remaining)
         return [
             codec.encode_request_state(self.service.request(query_id))
             for query_id in query_ids
         ]
 
     async def _op_cancel(self, _connection: _AsyncConnection, query_id: str) -> None:
-        await self.aservice.cancel(query_id)
+        await self._run(self.service.cancel, query_id)
 
     async def _op_query(self, _connection: _AsyncConnection, sql: str) -> dict[str, Any]:
-        return codec.encode_relation_result(await self.aservice.query(sql))
+        return codec.encode_relation_result(await self._run(self.service.query, sql))
 
     def _tagged_result(self, connection: _AsyncConnection, result: Any) -> dict[str, Any]:
-        if isinstance(result, AsyncRequestHandle):
-            result = result.sync_handle
         if isinstance(result, RequestHandle):
             return {"kind": "handle", "state": self._state_and_watch(connection, result)}
         return {"kind": "relation", "result": codec.encode_relation_result(result)}
@@ -528,15 +609,14 @@ class AsyncCoordinationServer(AsyncServerBase):
     async def _op_execute(
         self, connection: _AsyncConnection, sql: str, owner: Optional[str] = None
     ) -> dict[str, Any]:
-        return self._tagged_result(connection, await self.aservice.execute(sql, owner=owner))
+        result = await self._run(self.service.execute, sql, owner)
+        return self._tagged_result(connection, result)
 
     async def _op_execute_script(
         self, connection: _AsyncConnection, sql: str, owner: Optional[str] = None
     ) -> list[dict[str, Any]]:
-        return [
-            self._tagged_result(connection, result)
-            for result in await self.aservice.execute_script(sql, owner=owner)
-        ]
+        results = await self._run(self.service.execute_script, sql, owner)
+        return [self._tagged_result(connection, result) for result in results]
 
     def _fastop_answers(
         self, _connection: _AsyncConnection, relation: str
@@ -557,9 +637,7 @@ class AsyncCoordinationServer(AsyncServerBase):
         types: Optional[Sequence[str]] = None,
         arity: Optional[int] = None,
     ) -> None:
-        await self.aservice.declare_answer_relation(
-            name, columns=columns, types=types, arity=arity
-        )
+        await self._run(self.service.declare_answer_relation, name, columns, types, arity)
 
     def _fastop_request(
         self, connection: _AsyncConnection, query_id: str
@@ -569,7 +647,7 @@ class AsyncCoordinationServer(AsyncServerBase):
     async def _op_requests(self, connection: _AsyncConnection) -> list[dict[str, Any]]:
         # O(every request ever): far beyond the fast-path bargain, so the
         # serialization runs on the executor like any other heavy op.
-        return await self.aservice._run(
+        return await self._run(
             lambda: [
                 self._state_and_watch(connection, handle)
                 for handle in self.service.requests()
@@ -580,7 +658,7 @@ class AsyncCoordinationServer(AsyncServerBase):
         self, _connection: _AsyncConnection
     ) -> list[dict[str, Any]]:
         # O(pool) with per-query describe() rendering: executor, not loop.
-        return await self.aservice._run(
+        return await self._run(
             lambda: [
                 {
                     "query_id": query.query_id,
@@ -594,7 +672,7 @@ class AsyncCoordinationServer(AsyncServerBase):
         )
 
     async def _op_retry_pending(self, _connection: _AsyncConnection) -> int:
-        return await self.aservice.retry_pending()
+        return await self._run(self.service.retry_pending)
 
     async def _op_wal_subscribe(self, connection: _AsyncConnection) -> dict[str, Any]:
         """Hand a joining standby a consistent snapshot and stream the log.
@@ -615,8 +693,8 @@ class AsyncCoordinationServer(AsyncServerBase):
             raise ServiceUnavailableError(
                 "this server has no write-ahead log to ship (start it with --data-dir)"
             )
-        shipper = await _WalShipper.take_over(connection, self.aservice)
-        state = await self.aservice._run(
+        shipper = await _WalShipper.take_over(connection, self._run)
+        state = await self._run(
             durability.subscribe_with_snapshot, self.service.system, shipper.ship
         )
         return {"state": state, "last_lsn": int(state.get("last_lsn", 0))}
@@ -668,12 +746,12 @@ class _WalShipper:
         self._queued: list[bytes] = []
 
     @classmethod
-    async def take_over(cls, connection: _AsyncConnection, aservice: Any) -> "_WalShipper":
+    async def take_over(cls, connection: _AsyncConnection, run: Any) -> "_WalShipper":
         """Flush what the connection already wrote, then route it through a shipper."""
         writer = connection.writer
         writer.transport.set_write_buffer_limits(high=0)
         await writer.drain()  # with a zero high-water mark: until the buffer is empty
-        shipper = cls(writer, aservice._run, connection.server.metrics)
+        shipper = cls(writer, run, connection.server.metrics)
         connection.writer = shipper  # type: ignore[assignment]
         return shipper
 

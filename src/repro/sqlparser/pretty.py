@@ -18,10 +18,10 @@ _BARE_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 @lru_cache(maxsize=1024)  # a workload names a few tables and columns, over and over
 def format_identifier(name: str) -> str:
-    """``name`` as the tokenizer reads it back: bare, or double-quoted when it
-    is a keyword or not a plain word (the dialect has no ``"`` escape)."""
+    """``name`` as the tokenizer reads it back: bare, or double-quoted (a
+    ``"`` doubled) when it is a keyword or not a plain word."""
     if name.upper() in KEYWORDS or not _BARE_IDENTIFIER.fullmatch(name):
-        return f'"{name}"'
+        return '"' + name.replace('"', '""') + '"'
     return name
 
 

@@ -9,6 +9,7 @@ the offending token.
 from __future__ import annotations
 
 import enum
+import math
 import sys
 from dataclasses import dataclass
 
@@ -129,6 +130,10 @@ def tokenize(text: str) -> list[Token]:
                 number_chars.append(text[position])
                 advance(1)
             value = "".join(number_chars)
+            if seen_dot and math.isinf(float(value)):
+                # the printer has no spelling for infinity, so journaled SQL
+                # holding one would not re-parse
+                raise ParseError("numeric literal out of range", start_line, start_column)
             token_type = TokenType.FLOAT if seen_dot else TokenType.INTEGER
             tokens.append(Token(token_type, value, start_line, start_column))
             continue
@@ -148,7 +153,7 @@ def tokenize(text: str) -> list[Token]:
                 tokens.append(Token(TokenType.IDENTIFIER, word, start_line, start_column))
             continue
 
-        # quoted identifiers ("name")
+        # quoted identifiers ("name", "" escapes a quote)
         if char == '"':
             ident_chars = []
             advance(1)
@@ -157,6 +162,10 @@ def tokenize(text: str) -> list[Token]:
                     raise ParseError("unterminated quoted identifier", start_line, start_column)
                 current = text[position]
                 if current == '"':
+                    if position + 1 < length and text[position + 1] == '"':
+                        ident_chars.append('"')
+                        advance(2)
+                        continue
                     advance(1)
                     break
                 ident_chars.append(current)

@@ -1,15 +1,17 @@
-"""Transport-transparency of the asyncio network plane.
+"""Transport-transparency of the asyncio network plane, durable and policied.
 
-Three certifications of :class:`~repro.service.aio.AsyncCoordinationServer`:
+Three certifications of :class:`~repro.service.aio.AsyncCoordinationServer`,
+each through :class:`~repro.service.remote.RemoteService` (the
+:class:`~repro.service.aio.bridge.BridgedService` facade over one
+:class:`~repro.service.aio.AsyncRemoteService` connection):
 
-* the full conformance suite (``tests/service_conformance.py``) through the
-  **async-adapter runner** — an
-  :class:`~repro.service.aio.AsyncRemoteService` connection bridged back to
-  the synchronous scenario surface by
-  :class:`~repro.service.aio.bridge.BridgedService`;
-* **the synchronous client** — :class:`~repro.service.remote.RemoteService`
-  (``BridgedService.connect``) runs a slice of the conformance scenarios
-  against the server;
+* the full conformance suite (``tests/service_conformance.py``) against a
+  **durable** server — every scenario journals to a write-ahead log and
+  checkpoints every 16 records (the memory-only server runs the suite in
+  ``tests/integration/test_remote_conformance.py``, a tiered one in
+  ``tests/unit/service/test_aio_service.py``);
+* a slice of the conformance scenarios against a server under the
+  ``priority`` **match policy**;
 * **async-transport properties**: the 1-frame-per-batch invariant,
   push-driven (non-polling) awaits, shutdown-mid-await fail-fast, bounded
   in-flight backpressure, and transport metrics across the wire.
@@ -44,12 +46,7 @@ from repro.errors import (
     ServiceUnavailableError,
 )
 from repro.service import RemoteService, SubmitRequest, SystemConfig
-from repro.service.aio import (
-    AsyncRemoteHandle,
-    AsyncRemoteService,
-    BackgroundAsyncServer,
-    BridgedService,
-)
+from repro.service.aio import AsyncRemoteHandle, AsyncRemoteService, BackgroundAsyncServer
 
 
 def start_stack(config: SystemConfig = SystemConfig(seed=0), **server_kwargs):
@@ -61,8 +58,10 @@ def start_stack(config: SystemConfig = SystemConfig(seed=0), **server_kwargs):
 
 
 @pytest.fixture
-def server_and_service():
-    server, client = start_stack()
+def server_and_service(tmp_path):
+    server, client = start_stack(
+        SystemConfig(seed=0, data_dir=tmp_path, fsync_policy="never", snapshot_interval=16)
+    )
     client.execute_script(SETUP)
     client.declare_answer_relation("Reservation", ["traveler", "fno"], ["TEXT", "INTEGER"])
     yield server, client
@@ -76,7 +75,7 @@ def service(server_and_service):
     return client
 
 
-# -- the transport-agnostic suite, asyncio flavour ---------------------------------------------
+# -- the transport-agnostic suite against a durable server ---------------------------------------
 
 
 class TestAsyncRemoteSubmission(SubmissionConformance):
@@ -103,12 +102,12 @@ class TestAsyncRemotePolicy(PolicyConformance):
     pass
 
 
-# -- the synchronous client against the asyncio server ----------------------------------------
+# -- a conformance slice under the priority match policy ---------------------------------------
 
 
 @pytest.fixture
 def sync_client_stack():
-    server = BackgroundAsyncServer(config=SystemConfig(seed=0))
+    server = BackgroundAsyncServer(config=SystemConfig(seed=0, match_policy="priority"))
     host, port = server.start()
     client = RemoteService.connect(host, port)
     client.execute_script(SETUP)
@@ -119,7 +118,8 @@ def sync_client_stack():
 
 
 class TestSyncClientInterop:
-    """The synchronous client, built with ``RemoteService.connect``."""
+    """The synchronous client against a server that enumerates candidate
+    groups and picks by priority instead of taking the first match."""
 
     @pytest.fixture
     def service(self, sync_client_stack):
@@ -382,12 +382,6 @@ class TestHandleRegistry:
         assert results[0].scalar() == 3
         assert isinstance(results[1], AsyncRemoteHandle)
         assert not results[1].done()
-
-
-class TestBridgedService:
-    def test_bridge_requires_exactly_one_construction_path(self):
-        with pytest.raises(ValueError):
-            BridgedService()
 
 
 class TestServerResourceLifecycle:

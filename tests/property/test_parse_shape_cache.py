@@ -107,6 +107,7 @@ def test_a_shape_is_templated_on_its_second_sighting():
     [
         'SELECT "order" FROM F WHERE dest = \'Paris\'',
         "SELECT \"it's\" FROM F",
+        'SELECT "Res""v" FROM F WHERE dest = \'Paris\'',
         "SELECT fno FROM F -- it's a comment\nWHERE dest = 'Paris'",
         "SELECT fno FROM F /* 'x' */ WHERE dest = 'Paris'",
         "SELECT fno FROM F WHERE dest = 'Paris' -- trailing",

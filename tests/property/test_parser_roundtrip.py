@@ -12,13 +12,13 @@ from repro.sqlparser.tokens import KEYWORDS
 # -- strategies -----------------------------------------------------------------
 
 # Bare words, keywords (which the printer must quote) and names only a quoted
-# identifier can spell: leading digits, spaces, quotes, punctuation.
+# identifier can spell: leading digits, spaces, quotes (``"`` doubled), punctuation.
 identifiers = st.one_of(
     st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=8),
     st.sampled_from(sorted(KEYWORDS)).flatmap(
         lambda word: st.sampled_from([word, word.lower(), word.capitalize()])
     ),
-    st.text(alphabet=string.ascii_letters + string.digits + " '_-.;", min_size=1, max_size=8),
+    st.text(alphabet=string.ascii_letters + string.digits + " '\"_-.;", min_size=1, max_size=8),
 )
 
 string_literals = st.text(

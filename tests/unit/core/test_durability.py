@@ -461,6 +461,32 @@ class TestRecovery:
         assert recovered.status(request.query_id) is QueryStatus.ANSWERED
         recovered.close()
 
+    def test_builder_head_on_a_quoted_relation_name_recovers(self, tmp_path):
+        """A relation name holding ``"`` journals with the quote doubled, so
+        recovery recompiles it under the same name."""
+        from repro.core.compiler import EntangledQueryBuilder, var
+
+        system = build_system(tmp_path)
+        load_base_data(system)
+        query = (
+            EntangledQueryBuilder(owner="Jerry")
+            .head('Res"v', "J", var("fno"))
+            .domain("fno", "SELECT fno FROM Flights WHERE dest = 'Paris'")
+            .require('Res"v', "K", var("fno"))
+            .build()
+        )
+        request = system.submit_entangled(query)
+        assert request.status is QueryStatus.PENDING
+        crash(system)
+
+        recovered = build_system(tmp_path)
+        assert recovered.recovery.replay_errors == []
+        (pending,) = recovered.pending_queries()
+        assert pending.query_id == request.query_id
+        assert pending.heads[0].relation == 'Res"v'
+        assert pending.answer_atoms[0].relation == 'Res"v'
+        recovered.close()
+
     def test_snapshot_interval_checkpoints_and_truncates(self, tmp_path):
         system = build_system(tmp_path, snapshot_interval=4, fsync_policy="batch")
         load_base_data(system)  # 3 records: create, insert, declare

@@ -288,6 +288,24 @@ class TestCoordinatorIntegration:
         finally:
             system.close()
 
+    def test_batch_larger_than_the_hot_tier_answers_every_pair(self):
+        """A batch stays hot through its match pass: its members are matched
+        with their constraints, never as stubs, and the overflow spills after."""
+        system = build_system(pending_memory_limit=2)
+        try:
+            batch = []
+            for index in range(3):
+                batch.append(compile_entangled(parked_sql(index), owner=f"U{index}"))
+                batch.append(compile_entangled(partner_sql(index), owner=f"G{index}"))
+            batch += [compile_entangled(parked_sql(index), owner=f"U{index}") for index in (7, 8, 9)]
+            records = system.coordinator.submit_many(batch)
+            assert [record.status.value for record in records] == ["answered"] * 6 + ["pending"] * 3
+            stats = system.coordinator.tiering_statistics()
+            assert stats["peak_hot"] == 9
+            assert (stats["hot"], stats["cold"]) == (2, 1)
+        finally:
+            system.close()
+
     def test_eviction_swaps_request_record_to_stub(self):
         system = build_system(pending_memory_limit=1)
         try:

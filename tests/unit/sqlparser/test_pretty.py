@@ -75,6 +75,7 @@ def test_unknown_node_rejected():
         'CREATE TABLE F (fno INT PRIMARY KEY, "order" INT)',
         'INSERT INTO "select" ("key", "a b") VALUES (1, 2)',
         'UPDATE F SET "order" = 2 WHERE "order" = 1',
+        'SELECT "Res""v", """" FROM "a""b"',
         "SELECT 'a', \"order\" INTO ANSWER \"Answer\" WHERE \"order\" IN (SELECT \"order\" FROM F) "
         "AND ('b', \"order\") IN ANSWER \"Answer\" CHOOSE 1",
     ],
@@ -92,6 +93,14 @@ def test_plain_identifiers_stay_bare():
         "SELECT fno FROM Flights"
     )
     assert format_statement(parse_statement('SELECT "it\'s" FROM F')) == 'SELECT "it\'s" FROM F'
+
+
+def test_identifier_with_a_double_quote_doubles_it():
+    from repro.sqlparser.pretty import format_identifier
+
+    assert format_identifier('Res"v') == '"Res""v"'
+    name = 'Res"v'
+    assert parse_statement(f"SELECT x FROM {format_identifier(name)}").from_table.name == name
 
 
 @pytest.mark.parametrize(
@@ -115,3 +124,16 @@ def test_compiled_sql_with_a_small_float_recompiles():
     )
     assert "e-" not in query.sql
     assert compile_entangled(query.sql).sql == query.sql
+
+
+def test_overflowing_numeric_literal_does_not_compile():
+    """Compiled as ``fno < inf``, this text recompiled with ``inf`` read as a
+    second variable; it is a parse error instead."""
+    from repro.core.compiler import compile_entangled
+    from repro.errors import ParseError
+
+    with pytest.raises(ParseError, match="out of range"):
+        compile_entangled(
+            "SELECT 'a', fno INTO ANSWER R WHERE fno IN (SELECT fno FROM F) "
+            f"AND fno < 1{'0' * 400}.0 CHOOSE 1"
+        )

@@ -68,6 +68,20 @@ class TestCommentsAndPositions:
         with pytest.raises(ParseError):
             tokenize("SELECT /* oops")
 
+    def test_overflowing_float_literal_raises(self):
+        """A literal that reads as infinity has no spelling the printer could
+        journal, so it is refused rather than turned into ``inf``."""
+        with pytest.raises(ParseError) as excinfo:
+            tokenize("SELECT fno WHERE fno < 1" + "0" * 400 + ".0")
+        assert excinfo.value.column == 24
+        assert values("SELECT 1" + "0" * 300 + ".0") == ["SELECT", "1" + "0" * 300 + ".0"]
+
+    def test_doubled_quote_escapes_a_quote_in_identifier(self):
+        tokens = tokenize('SELECT "Res""v", """" FROM F')
+        assert [tokens[1].value, tokens[3].value] == ['Res"v', '"']
+        assert tokens[1].type is TokenType.IDENTIFIER
+        assert tokens[4].is_keyword("FROM")
+
     def test_unterminated_string_raises(self):
         with pytest.raises(ParseError):
             tokenize("SELECT 'oops")
