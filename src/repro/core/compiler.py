@@ -22,6 +22,7 @@ which is what the travel application's middle tier uses.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Iterable, Optional, Sequence, Union
 
 from repro.errors import CompilationError
@@ -200,10 +201,17 @@ class EntangledQueryBuilder:
     @staticmethod
     def _to_term(value: Any) -> ir.Term:
         if isinstance(value, (ir.Constant, ir.Variable)):
-            return value
-        if isinstance(value, (str, int, float, bool)):
-            return ir.Constant(value)
-        raise CompilationError(f"cannot use {value!r} as an atom term")
+            term = value
+        elif isinstance(value, (str, int, float, bool)):
+            term = ir.Constant(value)
+        else:
+            raise CompilationError(f"cannot use {value!r} as an atom term")
+        if isinstance(term, ir.Constant) and isinstance(term.value, float):
+            if not math.isfinite(term.value):
+                # SQL has no spelling for it: the journaled text would read
+                # it back as a variable named inf or nan
+                raise CompilationError(f"cannot use the non-finite constant {term.value!r}")
+        return term
 
     # -- builder steps ------------------------------------------------------------------
 

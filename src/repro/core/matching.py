@@ -19,6 +19,12 @@ answered jointly:
    variable equivalence classes established during unification.  ``CHOOSE 1``
    means one valuation per query.
 
+   Each domain subquery's result is kept across attempts, keyed by its
+   printed text and stamped with the write stamps of the tables it reads
+   (see :mod:`repro.storage.table`): a domain is re-executed only when one
+   of those tables changed since its result was stored, and a domain that
+   reads a view or an unknown table is executed on every attempt.
+
 The search is backtracking over both phases, so a group that unifies but has
 no consistent grounding is abandoned and alternative providers are explored.
 The answer relation produced by a successful match contains exactly the
@@ -30,12 +36,13 @@ it was unified with one of those heads.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Optional
 
 from repro.core import ir
 from repro.core.matchplan import (
+    DomainPlan,
     GridProviderIndex,
     MatchPlanCache,
     Provider,
@@ -45,12 +52,16 @@ from repro.core.matchplan import (
 from repro.errors import EntanglementError
 from repro.relalg.engine import QueryEngine
 from repro.relalg.rows import RowEnv
-from repro.sqlparser.pretty import format_statement
 
 # A variable is identified globally by (query_id, variable_name).
 VarNode = tuple[str, str]
 
 _UNBOUND = object()
+
+# How many domain results the matcher keeps across attempts (least recently
+# used first out).  A travel site grounds a few destinations; the bound only
+# stops a stream of one-off domains from growing the map without limit.
+DOMAIN_RESULT_CAPACITY = 256
 
 __all__ = [
     "GridProviderIndex",
@@ -142,7 +153,11 @@ class Unifier:
 
 @dataclass
 class MatchStatistics:
-    """Counters describing the work one ``find_group`` call performed."""
+    """Counters describing the work one ``find_group`` call performed.
+
+    ``domain_queries`` counts domain subqueries actually executed: a result
+    reused from an earlier attempt is not counted.
+    """
 
     structural_nodes: int = 0
     unification_attempts: int = 0
@@ -222,6 +237,11 @@ class Matcher:
     positions, each (probe atom, provider atom) unification executes a
     memoized :class:`~repro.core.matchplan.PairOps` program, and grounding
     iterates the plan's precomputed variable nodes.
+
+    ``_domain_results`` maps a domain's printed text to the write stamps of
+    the tables it read and the rows it returned.  Like the plans it is
+    derived state: touched only under the coordinator's lock, never
+    journaled or shipped, and empty in a new process.
     """
 
     def __init__(
@@ -236,6 +256,9 @@ class Matcher:
         self.max_group_size = max_group_size
         self.max_structural_nodes = max_structural_nodes
         self.plan_cache = MatchPlanCache()
+        self._domain_results: OrderedDict[
+            str, tuple[tuple[int, ...], list[tuple[Any, ...]]]
+        ] = OrderedDict()
 
     # -- public API --------------------------------------------------------------------
 
@@ -431,7 +454,10 @@ class Matcher:
             if root in class_values:
                 pre_bound[name] = class_values[root]
 
-        valuations = self._enumerate_valuations(query, pre_bound, statistics, domain_cache)
+        domains = plan.domains()
+        valuations = self._enumerate_valuations(
+            query, domains, pre_bound, statistics, domain_cache
+        )
         self.rng.shuffle(valuations)
 
         node_map = plan.node_map
@@ -454,7 +480,9 @@ class Matcher:
 
             chosen = [valuation]
             if query.choose > 1:
-                extra = self._extra_choices(query, valuation, pre_bound, statistics, domain_cache)
+                extra = self._extra_choices(
+                    query, domains, valuation, pre_bound, statistics, domain_cache
+                )
                 if len(extra) + 1 < query.choose:
                     continue
                 chosen = [valuation] + extra[: query.choose - 1]
@@ -475,6 +503,7 @@ class Matcher:
     def _extra_choices(
         self,
         query: ir.EntangledQuery,
+        domains: tuple[DomainPlan, ...],
         first: dict[str, Any],
         pre_bound: dict[str, Any],
         statistics: MatchStatistics,
@@ -488,7 +517,9 @@ class Matcher:
         """
         others = [
             valuation
-            for valuation in self._enumerate_valuations(query, pre_bound, statistics, domain_cache)
+            for valuation in self._enumerate_valuations(
+                query, domains, pre_bound, statistics, domain_cache
+            )
             if valuation != first
         ]
         self.rng.shuffle(others)
@@ -510,24 +541,31 @@ class Matcher:
     def _enumerate_valuations(
         self,
         query: ir.EntangledQuery,
+        domains: tuple[DomainPlan, ...],
         pre_bound: dict[str, Any],
         statistics: MatchStatistics,
         domain_cache: dict[str, list[tuple[Any, ...]]],
     ) -> list[dict[str, Any]]:
-        """All valuations of ``query``'s variables allowed by its own body."""
+        """All valuations of ``query``'s variables allowed by its own body.
+
+        ``domains`` are the query's domain constraints as compiled
+        :class:`~repro.core.matchplan.DomainPlan` objects.
+        """
         valuations: list[dict[str, Any]] = [dict(pre_bound)]
-        for domain in query.domains:
+        for domain in domains:
             rows = self._domain_rows(domain, statistics, domain_cache)
+            variables = domain.constraint.variables
             extended: list[dict[str, Any]] = []
             for partial in valuations:
                 for row in rows:
-                    if len(row) != len(domain.variables):
+                    if len(row) != len(variables):
                         raise EntanglementError(
-                            f"domain constraint {domain} produced rows of width {len(row)}"
+                            f"domain constraint {domain.constraint} produced rows "
+                            f"of width {len(row)}"
                         )
                     candidate = dict(partial)
                     compatible = True
-                    for name, value in zip(domain.variables, row):
+                    for name, value in zip(variables, row):
                         if name in candidate and candidate[name] != value:
                             compatible = False
                             break
@@ -554,12 +592,36 @@ class Matcher:
 
     def _domain_rows(
         self,
-        domain: ir.DomainConstraint,
+        domain: DomainPlan,
         statistics: MatchStatistics,
         domain_cache: dict[str, list[tuple[Any, ...]]],
     ) -> list[tuple[Any, ...]]:
-        key = format_statement(domain.subquery)
-        if key not in domain_cache:
+        """The domain subquery's rows, executed at most once per attempt.
+
+        Across attempts a stored result is reused while every table the
+        subquery reads still carries the stamp it had when the result was
+        stored.  The stamps are read *before* executing, so a write that races
+        the execution leaves an entry whose stamps never match again.  Rows
+        keep the order a fresh execution returns, so the grounding consumes
+        the match RNG exactly as it would without the cache.
+        """
+        key = domain.key
+        rows = domain_cache.get(key)
+        if rows is not None:
+            return rows
+        results = self._domain_results
+        stamps = self.engine.database.stamps(domain.tables)
+        stored = results.get(key) if stamps is not None else None
+        if stored is not None and stored[0] == stamps:
+            results.move_to_end(key)
+            rows = stored[1]
+        else:
             statistics.domain_queries += 1
-            domain_cache[key] = self.engine.execute(domain.subquery).rows
-        return domain_cache[key]
+            rows = self.engine.execute(domain.constraint.subquery).rows
+            if stamps is not None:
+                results[key] = (stamps, rows)
+                results.move_to_end(key)
+                if len(results) > DOMAIN_RESULT_CAPACITY:
+                    results.popitem(last=False)
+        domain_cache[key] = rows
+        return rows

@@ -9,7 +9,11 @@ position.  This module precompiles all of that once per query:
   arrays: a constant mask, interned constant values and precomputed variable
   nodes, all computed once when the query's plan is built.
 * :class:`QueryPlan` — the compiled form of a whole query (heads, answer
-  atoms, the variable list the grounding phase iterates).
+  atoms, the variable list the grounding phase iterates, and — built on the
+  query's first grounding — its :class:`DomainPlan` list).
+* :class:`DomainPlan` — one ``x IN (SELECT ...)`` domain with its printed
+  text and the stored tables its subquery reads, so the matcher can key and
+  validate its cached result without re-printing or re-walking the AST.
 * :class:`PairOps` — the unification of one (probe atom, provider atom) pair
   reduced to a short list of ``bind`` / ``union`` operations against the
   union-find, with constant/constant agreement folded into a single
@@ -49,6 +53,8 @@ from itertools import count
 from typing import Any, Optional
 
 from repro.core import ir
+from repro.sqlparser.ast import tables_read
+from repro.sqlparser.pretty import format_statement
 
 # A variable is identified globally by (query_id, variable_name) — the same
 # node representation repro.core.matching.Unifier uses.
@@ -185,10 +191,29 @@ def apply_pair(unifier: Any, ops: PairOps) -> bool:
     return True
 
 
+class DomainPlan:
+    """One domain constraint of a query, compiled for the grounding phase.
+
+    ``key`` is the subquery's printed text, which keys the matcher's domain
+    result cache; ``tables`` are the sorted lowercase names of every table
+    the subquery reads (FROM, JOINs and nested ``IN (SELECT ...)``), whose
+    write stamps tell whether a cached result is still current.
+    """
+
+    __slots__ = ("constraint", "key", "tables")
+
+    def __init__(self, constraint: ir.DomainConstraint) -> None:
+        self.constraint = constraint
+        self.key = format_statement(constraint.subquery)
+        self.tables = tables_read(constraint.subquery)
+
+
 class QueryPlan:
     """The compiled form of one entangled query."""
 
-    __slots__ = ("query", "query_id", "heads", "answer_atoms", "var_items", "node_map")
+    __slots__ = (
+        "query", "query_id", "heads", "answer_atoms", "var_items", "node_map", "_domains"
+    )
 
     def __init__(self, query: ir.EntangledQuery, uids: "count[int]") -> None:
         self.query = query
@@ -206,6 +231,17 @@ class QueryPlan:
             (name, (query.query_id, name)) for name in query.variables()
         )
         self.node_map: dict[str, VarNode] = dict(self.var_items)
+        self._domains: Optional[tuple[DomainPlan, ...]] = None
+
+    def domains(self) -> tuple[DomainPlan, ...]:
+        """The query's domains as :class:`DomainPlan` objects.
+
+        Built on the first grounding, not with the plan: most pooled queries
+        are probed as providers many times but grounded rarely or never.
+        """
+        if self._domains is None:
+            self._domains = tuple(DomainPlan(domain) for domain in self.query.domains)
+        return self._domains
 
 
 class MatchPlanCache:

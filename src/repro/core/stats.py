@@ -3,6 +3,11 @@
 The administrative interface of the demo "allows us to show the internal state
 of the system"; these counters are part of that state and are also what the
 scalability benchmarks report.
+
+``domain_queries`` counts domain subqueries actually executed: the matcher
+reuses a domain's rows across attempts while the tables it reads are
+unchanged, and a reused result is not counted.  Like the other matching
+work counters it adds up successful attempts only.
 """
 
 from __future__ import annotations

@@ -411,10 +411,13 @@ class AsyncCoordinationServer(AsyncServerBase):
         self._executor = ThreadPoolExecutor(
             max_workers=EXECUTOR_WORKERS, thread_name_prefix="youtopia-aio"
         )
-        #: One loop-side future per query some ``wait`` is suspended on,
-        #: resolved by a single coordinator callback: a client retrying a
-        #: timed-out wait adds no callback.  Entries leave on resolution.
-        self._waits: dict[str, "asyncio.Future[CoordinationRequest]"] = {}
+        #: One (registration, terminal) future pair per query some ``wait``
+        #: is suspended on; the terminal future is resolved by a single
+        #: coordinator callback, so a client retrying a timed-out wait adds
+        #: no callback.  Entries leave on resolution.
+        self._waits: dict[
+            str, tuple["asyncio.Future[None]", "asyncio.Future[CoordinationRequest]"]
+        ] = {}
 
     async def _run(self, fn: Callable[..., _T], *args: Any) -> _T:
         """Run blocking service work on the server's pool, never on the loop."""
@@ -521,11 +524,16 @@ class AsyncCoordinationServer(AsyncServerBase):
         :class:`~repro.errors.EntanglementError` for a cancelled or rejected
         query, :class:`~repro.errors.CoordinationTimeoutError` (counted by
         the coordinator) on deadline.  A timeout abandons only this wait:
-        the shared future stays live for the other waiters.
+        the shared future stays live for the other waiters.  The deadline
+        starts once the coordinator watches the id, so a query that is
+        already terminal is reported even under ``timeout=0``.
         """
-        future = self._waits.get(query_id)
-        if future is None:
-            future = self._waits[query_id] = self._watch_terminal(query_id)
+        entry = self._waits.get(query_id)
+        if entry is None:
+            entry = self._waits[query_id] = self._watch_terminal(query_id)
+        registration, future = entry
+        if not registration.done():
+            await asyncio.wait((registration,))
         try:
             request = await asyncio.wait_for(asyncio.shield(future), timeout)
         except asyncio.TimeoutError:
@@ -536,12 +544,16 @@ class AsyncCoordinationServer(AsyncServerBase):
                 f"query {query_id!r} is {request.status.value}: {request.error or ''}"
             )
 
-    def _watch_terminal(self, query_id: str) -> "asyncio.Future[CoordinationRequest]":
+    def _watch_terminal(
+        self, query_id: str
+    ) -> tuple["asyncio.Future[None]", "asyncio.Future[CoordinationRequest]"]:
         """A loop future resolved by one coordinator callback, registered off-loop.
 
         The callback fires in the completing thread (or at once on the
         executor for a terminal query) and hops onto the loop.  A failed
         registration, such as an unknown id, fails the future instead.
+        Returns the registration hop's future with the terminal one: a
+        terminal query's future is resolved before its registration is.
         """
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[CoordinationRequest]" = loop.create_future()
@@ -568,10 +580,11 @@ class AsyncCoordinationServer(AsyncServerBase):
             if failure is not None and not future.done():
                 future.set_exception(failure)
 
-        loop.run_in_executor(
+        registration = loop.run_in_executor(
             self._executor, self.service.coordinator.add_done_callback, query_id, resolve
-        ).add_done_callback(registered)
-        return future
+        )
+        registration.add_done_callback(registered)
+        return registration, future
 
     async def _op_wait(
         self, _connection: _AsyncConnection, query_id: str, timeout: Optional[float] = None

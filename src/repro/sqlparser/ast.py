@@ -336,3 +336,31 @@ def contains_aggregate(expression: Expression) -> bool:
         isinstance(node, FunctionCall) and node.name.upper() in aggregates
         for node in walk_expression(expression)
     )
+
+
+def tables_read(select: Select) -> tuple[str, ...]:
+    """The sorted lowercase names of every table ``select`` reads.
+
+    That is its FROM table, its JOINs and, recursively, the tables of every
+    ``IN (SELECT ...)`` nested in any of its expressions.
+    """
+    names: set[str] = set()
+    pending = [select]
+    while pending:
+        current = pending.pop()
+        if current.from_table is not None:
+            names.add(current.from_table.name.lower())
+        expressions = [item.expression for item in current.items]
+        for join in current.joins:
+            names.add(join.table.name.lower())
+            if join.condition is not None:
+                expressions.append(join.condition)
+        expressions.extend(e for e in (current.where, current.having) if e is not None)
+        expressions.extend(current.group_by)
+        expressions.extend(item.expression for item in current.order_by)
+        while expressions:  # an explicit stack: no generator per node
+            expression = expressions.pop()
+            if isinstance(expression, InSubquery):
+                pending.append(expression.subquery)
+            expressions.extend(expression.children())
+    return tuple(sorted(names))

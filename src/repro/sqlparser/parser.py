@@ -61,6 +61,13 @@ class _Parser:
         token = token or self.current
         return ParseError(message, token.line, token.column)
 
+    def integer(self, token: Token) -> int:
+        """The value of an INTEGER token; too many digits is a parse error."""
+        try:
+            return int(token.value)
+        except ValueError:  # beyond the interpreter's int conversion limit
+            raise self.error("numeric literal out of range", token) from None
+
     def expect_keyword(self, *names: str) -> Token:
         if self.current.is_keyword(*names):
             return self.advance()
@@ -170,7 +177,7 @@ class _Parser:
                 if choose_token.type is not TokenType.INTEGER:
                     raise self.error("CHOOSE expects a positive integer")
                 self.advance()
-                choose = int(choose_token.value)
+                choose = self.integer(choose_token)
                 if choose < 1:
                     raise self.error("CHOOSE expects a positive integer", choose_token)
             return ast.EntangledSelect(
@@ -214,13 +221,13 @@ class _Parser:
             if limit_token.type is not TokenType.INTEGER:
                 raise self.error("LIMIT expects an integer")
             self.advance()
-            limit = int(limit_token.value)
+            limit = self.integer(limit_token)
             if self.accept_keyword("OFFSET"):
                 offset_token = self.current
                 if offset_token.type is not TokenType.INTEGER:
                     raise self.error("OFFSET expects an integer")
                 self.advance()
-                offset = int(offset_token.value)
+                offset = self.integer(offset_token)
 
         return ast.Select(
             items=tuple(items),
@@ -512,7 +519,7 @@ class _Parser:
             return ast.Literal(token.value)
         if token.type is TokenType.INTEGER:
             self.advance()
-            return ast.Literal(int(token.value))
+            return ast.Literal(self.integer(token))
         if token.type is TokenType.FLOAT:
             self.advance()
             return ast.Literal(float(token.value))

@@ -10,10 +10,15 @@ A *view* is a read-only table whose rows a function computes at read time:
 the coordinator serves its internal ``_pending_queries`` table this way, so
 the table is never a second copy of state kept elsewhere.  Reads see a view
 like any table; writes, DDL and snapshots leave it alone.
+
+Every stored table draws its write stamp (see :mod:`repro.storage.table`)
+from one database-wide monotonic counter, so a table dropped and created
+again can never reuse a stamp its predecessor carried.  Views have none.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -36,6 +41,7 @@ class Database:
         self._views: dict[str, tuple[TableSchema, Callable[[], Iterable[Sequence[Any]]]]] = {}
         self._lock = threading.RLock()
         self._listeners: list[ChangeListener] = []
+        self._clock = itertools.count(1).__next__
 
     # -- DDL --------------------------------------------------------------------
 
@@ -60,7 +66,7 @@ class Database:
                 if if_not_exists:
                     return self._tables[key]
                 raise DuplicateTableError(schema.name)
-            table = Table(schema)
+            table = Table(schema, self._clock)
             self._tables[key] = table
         self._notify(schema.name, "create")
         return table
@@ -106,6 +112,21 @@ class Database:
             return self._tables[key]
         except KeyError:
             raise UnknownTableError(name) from None
+
+    def stamps(self, names: Sequence[str]) -> Optional[tuple[int, ...]]:
+        """The write stamp of each stored table in ``names`` (lowercase).
+
+        ``None`` when any name is a view or no table at all: such a read has
+        no version to compare against.
+        """
+        tables = self._tables
+        stamps = []
+        for name in names:
+            table = tables.get(name)
+            if table is None:
+                return None
+            stamps.append(table.stamp)
+        return tuple(stamps)
 
     def has_table(self, name: str) -> bool:
         return name.lower() in self._tables or name.lower() in self._views

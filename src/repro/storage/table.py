@@ -5,6 +5,16 @@ increasing row id.  Row ids are internal — they never leak through the query
 engine — but they give updates, deletes and secondary indexes a stable handle.
 Tables support an optional primary key (enforced through a unique hash index)
 and any number of secondary hash indexes.
+
+A table created with a *clock* (the catalog's database-wide counter) carries a
+write stamp: :attr:`Table.stamp` takes a fresh clock value at creation and
+after every completed change — rows inserted, updated or deleted, a truncate,
+a snapshot restore, an index created or dropped.  Two reads that see the same
+stamp therefore see the same rows in the same order, which is what lets the
+matcher reuse a domain subquery's result.  The stamp is set *after* the
+change, so a reader that takes the stamp before reading the rows can only
+pair an old stamp with new rows, never the reverse.  A table built without a
+clock (a view's per-read copy) has no stamp.
 """
 
 from __future__ import annotations
@@ -20,13 +30,20 @@ from repro.storage.schema import TableSchema
 class Table:
     """A mutable bag of tuples conforming to a :class:`TableSchema`."""
 
-    def __init__(self, schema: TableSchema) -> None:
+    def __init__(self, schema: TableSchema, clock: Optional[Callable[[], int]] = None) -> None:
         self.schema = schema
+        self._clock = clock
+        self.stamp: Optional[int] = clock() if clock is not None else None
         self._rows: dict[int, tuple[Any, ...]] = {}
         self._next_row_id = itertools.count(1)
         self._indexes: dict[str, HashIndex] = {}
         if schema.primary_key:
             self.create_index("__pk__", schema.primary_key, unique=True)
+
+    def _stamp(self) -> None:
+        """Record a completed change (see the module docstring)."""
+        if self._clock is not None:
+            self.stamp = self._clock()
 
     # -- introspection --------------------------------------------------------
 
@@ -60,12 +77,14 @@ class Table:
         index = HashIndex(name, positions, unique=unique)
         index.rebuild(self._rows.items())
         self._indexes[name] = index
+        self._stamp()
         return index
 
     def drop_index(self, name: str) -> None:
         if name not in self._indexes:
             raise StorageError(f"no index named {name!r} on table {self.name!r}")
         del self._indexes[name]
+        self._stamp()
 
     def indexes(self) -> dict[str, HashIndex]:
         return dict(self._indexes)
@@ -105,6 +124,8 @@ class Table:
             for index in self._indexes.values():
                 index.add(row_id, row)
             row_ids.append(row_id)
+        if row_ids:
+            self._stamp()
         return row_ids
 
     def delete_where(self, predicate: Callable[[dict[str, Any]], bool]) -> int:
@@ -156,6 +177,7 @@ class Table:
         self._rows.clear()
         for index in self._indexes.values():
             index.clear()
+        self._stamp()
 
     def _delete_rows(
         self,
@@ -171,6 +193,8 @@ class Table:
             row = self._rows.pop(row_id)
             for index in self._indexes.values():
                 index.remove(row_id, row)
+        if doomed:
+            self._stamp()
         return len(doomed)
 
     def _update_rows(
@@ -198,6 +222,8 @@ class Table:
             self._rows[row_id] = new_row
             for index in self._indexes.values():
                 index.add(row_id, new_row)
+        if changes:
+            self._stamp()
         return len(changes)
 
     def _check_unique(
@@ -271,6 +297,7 @@ class Table:
         self._rows = dict(snapshot)
         for index in self._indexes.values():
             index.rebuild(self._rows.items())
+        self._stamp()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Table({self.name!r}, rows={len(self)})"

@@ -14,7 +14,9 @@ hold it to them:
   of running compiled plans.  It probes the index with the raw atom, unifies
   term by term and addresses variables as ``(query_id, name)``, and draws
   from the RNG exactly where the production matcher does, so both commit the
-  same groups with the same tuples.
+  same groups with the same tuples.  It keeps no domain result across
+  attempts: every attempt executes each domain subquery afresh, so it is
+  also the oracle for the production matcher's stamped domain-result cache.
 * :class:`ExhaustiveEvaluator` — the declarative semantics by brute force:
   every subset of the pool × every valuation, exponential in both.
 * :func:`unify_terms` / :func:`unify_atoms` — term-by-term unification
@@ -40,7 +42,7 @@ from repro.core.matching import (
     Unifier,
     VarNode,
 )
-from repro.core.matchplan import CompiledAtom, Provider
+from repro.core.matchplan import CompiledAtom, DomainPlan, Provider
 from repro.relalg.engine import QueryEngine
 from repro.relalg.rows import RowEnv
 from repro.sqlparser.pretty import format_statement
@@ -295,7 +297,10 @@ class InterpretedMatcher(Matcher):
             if root in class_values:
                 pre_bound[name] = class_values[root]
 
-        valuations = self._enumerate_valuations(query, pre_bound, statistics, domain_cache)
+        domains = tuple(DomainPlan(domain) for domain in query.domains)
+        valuations = self._enumerate_valuations(
+            query, domains, pre_bound, statistics, domain_cache
+        )
         self.rng.shuffle(valuations)
 
         for valuation in valuations:
@@ -317,7 +322,9 @@ class InterpretedMatcher(Matcher):
 
             chosen = [valuation]
             if query.choose > 1:
-                extra = self._extra_choices(query, valuation, pre_bound, statistics, domain_cache)
+                extra = self._extra_choices(
+                    query, domains, valuation, pre_bound, statistics, domain_cache
+                )
                 if len(extra) + 1 < query.choose:
                     continue
                 chosen = [valuation] + extra[: query.choose - 1]
@@ -327,6 +334,19 @@ class InterpretedMatcher(Matcher):
                 position + 1, queries, unifier, extended, assignments, statistics, domain_cache
             )
             del assignments[query.query_id]
+
+    def _domain_rows(
+        self,
+        domain: DomainPlan,
+        statistics: MatchStatistics,
+        domain_cache: dict[str, list[tuple[Any, ...]]],
+    ) -> list[tuple[Any, ...]]:
+        """Execute the domain subquery once per attempt, never reusing a result."""
+        key = format_statement(domain.constraint.subquery)
+        if key not in domain_cache:
+            statistics.domain_queries += 1
+            domain_cache[key] = self.engine.execute(domain.constraint.subquery).rows
+        return domain_cache[key]
 
 
 # ---------------------------------------------------------------------------

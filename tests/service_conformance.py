@@ -120,6 +120,15 @@ class SubmissionConformance:
         with pytest.raises(CoordinationTimeoutError):
             kramer.result(timeout=0.01)
 
+    def test_wait_with_zero_timeout_returns_an_answered_query(self, service):
+        kramer = service.submit(SubmitRequest(sql=KRAMER_SQL, owner="Kramer"))
+        jerry = service.submit(SubmitRequest(sql=JERRY_SQL, owner="Jerry"))
+        assert wait_until(kramer.done) and jerry.is_answered
+        assert service.wait(kramer.query_id, timeout=0).owner == "Kramer"
+        envelopes = service.wait_many([kramer.query_id, jerry.query_id], timeout=0)
+        assert [envelope.owner for envelope in envelopes] == ["Kramer", "Jerry"]
+        assert service.stats()["queries_timed_out"] == 0
+
     def test_exception_surfaces_cancellation(self, service):
         kramer = service.submit(SubmitRequest(sql=KRAMER_SQL, owner="Kramer"))
         kramer.cancel()

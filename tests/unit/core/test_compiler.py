@@ -179,6 +179,24 @@ class TestBuilder:
         with pytest.raises(CompilationError):
             EntangledQueryBuilder().head("R", object())
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_builder_rejects_non_finite_constants(self, value):
+        # printed SQL has no spelling for them: `SELECT inf, fno INTO ANSWER R`
+        # would recompile the constant as a variable named inf
+        with pytest.raises(CompilationError, match="non-finite"):
+            EntangledQueryBuilder().head("R", value, var("fno"))
+        with pytest.raises(CompilationError, match="non-finite"):
+            EntangledQueryBuilder().require("R", ir.Constant(value), var("fno"))
+
+    def test_builder_keeps_finite_float_constants(self):
+        query = (
+            EntangledQueryBuilder()
+            .head("R", 1.5, var("fno"))
+            .domain("fno", "SELECT fno FROM Flights")
+            .build()
+        )
+        assert compile_entangled(entangled_to_sql(query)).heads[0].terms[0] == ir.Constant(1.5)
+
     def test_var_lowercases(self):
         assert var("FNO") == ir.Variable("fno")
 

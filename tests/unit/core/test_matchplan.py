@@ -23,7 +23,7 @@ from repro.core import ir
 from repro.core.compiler import compile_entangled
 from repro.core.config import SystemConfig
 from repro.core.matching import GridProviderIndex, MatchPlanCache, Unifier
-from repro.core.matchplan import apply_pair, compile_pair
+from repro.core.matchplan import DomainPlan, QueryPlan, apply_pair, compile_pair
 from repro.core.system import YoutopiaSystem
 
 RELATIONS = ("ResA", "ResB", "ResC")
@@ -238,6 +238,29 @@ def test_compiled_atom_uids_are_unique_across_plans():
 # ---------------------------------------------------------------------------
 # The coordinator's matching statistics
 # ---------------------------------------------------------------------------
+
+
+def test_domain_plan_keys_on_printed_text_and_lists_every_table_read():
+    query = compile_entangled(
+        "SELECT 'J', fno INTO ANSWER R WHERE fno IN "
+        "(SELECT f.fno FROM Flights AS f JOIN Airlines a ON f.carrier = a.name "
+        "WHERE a.hub IN (SELECT city FROM Cities WHERE country IN "
+        "(SELECT name FROM Countries)) AND f.fno IN (SELECT fno FROM flights)) "
+        "AND ('K', fno) IN ANSWER R CHOOSE 1"
+    )
+    (domain,) = QueryPlan(query, iter(range(1, 100))).domains()
+    assert isinstance(domain, DomainPlan) and domain.constraint is query.domains[0]
+    assert domain.key == str(query.domains[0]).split(" IN (", 1)[1][:-1]
+    assert domain.tables == ("airlines", "cities", "countries", "flights")
+
+
+def test_domain_plans_are_built_on_first_use_and_kept():
+    plan = QueryPlan(compile_entangled(entangled_sql("J", "K")), iter(range(1, 100)))
+    assert plan._domains is None  # compiling a plan does not print its domains
+    first = plan.domains()
+    assert plan.domains() is first
+    assert first[0].key == "SELECT fno FROM Flights WHERE (dest = 'Paris')"
+    assert first[0].tables == ("flights",)
 
 
 def test_plan_cache_counters_surface_in_matching_statistics():

@@ -140,6 +140,31 @@ class TestExpressions:
         assert select.items[0].expression == ast.ColumnRef("fno", table="f")
 
 
+class TestIntegerLimits:
+    """An integer beyond the interpreter's digit limit is a ParseError at the
+    literal, never a bare ValueError."""
+
+    @pytest.mark.parametrize(
+        "prefix",
+        [
+            "SELECT ",
+            "SELECT fno FROM Flights WHERE fno = ",
+            "SELECT fno FROM Flights LIMIT ",
+            "SELECT fno FROM Flights LIMIT 1 OFFSET ",
+            "SELECT 'J', fno INTO ANSWER R WHERE fno IN (SELECT fno FROM Flights) CHOOSE ",
+            "INSERT INTO Flights VALUES (",
+        ],
+    )
+    def test_oversized_integer_raises_parse_error_at_the_literal(self, prefix):
+        with pytest.raises(ParseError, match="numeric literal out of range") as raised:
+            parse_statement(prefix + "1" * 5000)
+        assert (raised.value.line, raised.value.column) == (1, len(prefix) + 1)
+
+    def test_integer_at_the_limit_still_parses(self):
+        select = parse_select("SELECT " + "1" * 4000)
+        assert select.items[0].expression == ast.Literal(int("1" * 4000))
+
+
 class TestHelpers:
     def test_walk_and_column_refs(self):
         select = parse_select("SELECT a + b WHERE c = 1")

@@ -174,3 +174,56 @@ class TestViews:
     def test_a_view_cannot_shadow_a_table(self, catalog: Database):
         with pytest.raises(DuplicateTableError):
             catalog.create_view(make_schema("flights", [("x", "INT")]), list)
+
+
+class TestWriteStamps:
+    """Every completed change draws a fresh stamp from the catalog's clock."""
+
+    def stamp(self, catalog: Database) -> int:
+        (stamp,) = catalog.stamps(["flights"])
+        return stamp
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda db: db.insert("Flights", (160, "Madrid")),
+            lambda db: db.update_by_key("Flights", {"fno": 122}, {"dest": "Oslo"}),
+            lambda db: db.update_where("Flights", lambda r: r["dest"] == "Rome", lambda r: {}),
+            lambda db: db.delete_by_key("Flights", {"fno": 122}),
+            lambda db: db.delete_where("Flights", lambda r: r["dest"] == "Rome"),
+            lambda db: db.truncate("Flights"),
+            lambda db: db.restore(db.snapshot()),
+            lambda db: db.table("Flights").create_index("by_dest", ["dest"]),
+        ],
+        ids=["insert", "update-key", "update-where", "delete-key", "delete-where",
+             "truncate", "restore", "create-index"],
+    )
+    def test_a_change_takes_a_new_stamp(self, catalog: Database, change):
+        before = self.stamp(catalog)
+        change(catalog)
+        assert self.stamp(catalog) > before
+
+    def test_no_change_keeps_the_stamp(self, catalog: Database):
+        before = self.stamp(catalog)
+        assert catalog.update_by_key("Flights", {"fno": 999}, {"dest": "Oslo"}) == 0
+        assert catalog.delete_where("Flights", lambda row: False) == 0
+        assert catalog.insert_many("Flights", []) == []
+        with pytest.raises(StorageError):  # a duplicate key changes nothing
+            catalog.insert_many("Flights", [(200, "Oslo"), (122, "Paris")])
+        assert self.stamp(catalog) == before
+
+    def test_a_recreated_table_never_reuses_a_stamp(self, catalog: Database):
+        seen = {self.stamp(catalog)}
+        for _ in range(3):
+            catalog.drop_table("Flights")
+            catalog.create_table(name="Flights", columns=[("fno", "INT")])
+            catalog.insert("Flights", (1,))
+            assert self.stamp(catalog) not in seen
+            seen.add(self.stamp(catalog))
+
+    def test_views_and_unknown_tables_have_no_stamp(self, catalog: Database):
+        catalog.create_view(make_schema("Live", [("id", "TEXT")]), lambda: [("q1",)])
+        assert catalog.stamps(["live"]) is None
+        assert catalog.stamps(["flights", "nowhere"]) is None
+        assert catalog.stamps([]) == ()
+        assert catalog.table("Live").stamp is None
