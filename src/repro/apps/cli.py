@@ -40,6 +40,7 @@ from repro.errors import YoutopiaError
 from repro.service.aio import BackgroundAsyncServer
 from repro.service.api import RelationResult
 from repro.service.inprocess import InProcessService
+from repro.service.metrics import render_stats
 from repro.service.remote import RemoteService
 
 _HELP_TEXT = """\
@@ -221,43 +222,7 @@ class CommandLine:
                 for request in requests
             )
         if name == ".stats":
-            stats = self.service.stats()
-            lines = [f"{key} = {value}" for key, value in sorted(stats.as_dict().items())]
-            matching = dict(stats.matching)
-            if matching:
-                lines.append(
-                    "match_policy = {policy} (limit={limit}, decisions={decisions}, "
-                    "enumerated={enumerated}, skipped={skipped})".format(
-                        policy=matching.get("policy"),
-                        limit=matching.get("candidate_limit"),
-                        decisions=matching.get("decisions", 0),
-                        enumerated=matching.get("groups_enumerated", 0),
-                        skipped=matching.get("groups_skipped", 0),
-                    )
-                )
-            if "plans_cached" in matching:
-                lines.append(
-                    "match_plans = cached {cached} (compiled={compiled}, "
-                    "pair_ops_hits={pair_hits})".format(
-                        cached=matching["plans_cached"],
-                        compiled=matching.get("plans_compiled", 0),
-                        pair_hits=matching.get("pair_ops_hits", 0),
-                    )
-                )
-            tiering = dict(stats.tiering)
-            if tiering.get("enabled"):
-                lines.append(
-                    "tiering = {backend} (limit={limit}, hot={hot}, "
-                    "cold={cold}, evictions={evictions}, page_ins={page_ins})".format(
-                        backend=tiering.get("backend"),
-                        limit=tiering.get("memory_limit"),
-                        hot=tiering.get("hot", 0),
-                        cold=tiering.get("cold", 0),
-                        evictions=tiering.get("evictions", 0),
-                        page_ins=tiering.get("page_ins", 0),
-                    )
-                )
-            return "\n".join(lines)
+            return render_stats(self.service.stats())
         if name == ".retry":
             answered = self.service.retry_pending()
             return f"retried pending queries; {answered} newly answered"

@@ -72,6 +72,7 @@ from repro.service.aio.server import (
     BackgroundAsyncServer,
     _AsyncConnection,
 )
+from repro.service.metrics import merge_stats
 from repro.service.remote import codec
 from repro.sqlparser import ast, parse_script, parse_statement
 from repro.sqlparser.pretty import format_statement
@@ -816,15 +817,8 @@ class ClusterRouter(AsyncServerBase):
         )
         unreachable = [node for node, stats in enumerate(per_node) if stats is None]
         self.introspection_gaps += len(unreachable)
-        counters: dict[str, int] = {}
-        pending = 0
-        shards: list[dict[str, Any]] = []
-        node_blocks: list[dict[str, Any]] = []
-        matching: dict[str, Any] = {}
-        match_policies: set[str] = set()
-        tiering: dict[str, Any] = {"enabled": False}
-        tiering_backends: set[str] = set()
         routed_counts = self.registry.counts_by_node(self.placement.node_count)
+        node_blocks: list[dict[str, Any]] = []
         for spec, stats in zip(self.placement.nodes, per_node):
             block: dict[str, Any] = {
                 "index": spec.index,
@@ -834,47 +828,19 @@ class ClusterRouter(AsyncServerBase):
                 "reachable": stats is not None,
             }
             if stats is not None:
-                for key, value in (stats.get("counters") or {}).items():
-                    counters[key] = counters.get(key, 0) + int(value)
-                pending += int(stats.get("pending", 0))
-                for shard in stats.get("shards") or ():
-                    shards.append({"node": spec.index, **shard})
-                block["pending"] = int(stats.get("pending", 0))
-                node_matching = stats.get("matching") or {}
-                if node_matching:
-                    policy = node_matching.get("policy")
-                    if policy:
-                        match_policies.add(str(policy))
-                        block["match_policy"] = policy
-                    for key, value in node_matching.items():
-                        if key in ("policy", "candidate_limit"):
-                            continue
-                        if isinstance(value, bool) or not isinstance(value, (int, float)):
-                            continue
-                        matching[key] = matching.get(key, 0) + value
-                    if "candidate_limit" in node_matching:
-                        matching["candidate_limit"] = node_matching["candidate_limit"]
-                node_tiering = stats.get("tiering") or {}
-                if node_tiering.get("enabled"):
-                    # Numeric tiering counters sum across nodes; the backend
-                    # string follows the "mixed" convention, and the derived
-                    # latency average is recomputed from the sums.
-                    tiering["enabled"] = True
-                    if node_tiering.get("backend"):
-                        tiering_backends.add(str(node_tiering["backend"]))
-                    for key, value in node_tiering.items():
-                        if key in ("enabled", "backend", "avg_page_in_ms"):
-                            continue
-                        if isinstance(value, bool) or not isinstance(value, (int, float)):
-                            continue
-                        tiering[key] = tiering.get(key, 0) + value
                 durability = stats.get("durability") or {}
-                block["wal_last_lsn"] = durability.get("wal_last_lsn")
-                block["wal_subscribers"] = durability.get("wal_subscribers")
+                block.update(
+                    pending=stats.get("pending", 0),
+                    match_policy=(stats.get("matching") or {}).get("policy"),
+                    wal_last_lsn=durability.get("wal_last_lsn"),
+                    wal_subscribers=durability.get("wal_subscribers"),
+                )
             lag = await self._standby_lag(spec, block.get("wal_last_lsn"))
             if lag is not None:
                 block["standby"] = lag
             node_blocks.append(block)
+        merged = merge_stats(stats for stats in per_node if stats is not None) or {}
+        counters = dict(merged.get("counters") or {})
         counters["queries_rejected"] = (
             counters.get("queries_rejected", 0) + self.duplicate_rejections
         )
@@ -903,32 +869,8 @@ class ClusterRouter(AsyncServerBase):
             "resharded_relocations": self.resharded_relocations,
             "introspection_gaps": self.introspection_gaps,
         }
-        if match_policies:
-            # One policy across the fleet is the expected deployment; report
-            # "mixed" (plus per-node blocks above) when nodes disagree.
-            matching["policy"] = (
-                next(iter(match_policies)) if len(match_policies) == 1 else "mixed"
-            )
-        if tiering["enabled"]:
-            tiering["backend"] = (
-                next(iter(tiering_backends)) if len(tiering_backends) == 1 else "mixed"
-            )
-            page_ins = tiering.get("page_ins") or 0
-            tiering["avg_page_in_ms"] = (
-                round(1000.0 * tiering.get("page_in_seconds", 0.0) / page_ins, 3)
-                if page_ins
-                else 0.0
-            )
-        return {
-            "counters": counters,
-            "pending": pending,
-            "shards": shards,
-            "durability": {"enabled": False},
-            "transport": self.metrics.snapshot(),
-            "cluster": cluster,
-            "matching": matching,
-            "tiering": tiering,
-        }
+        merged.update(counters=counters, transport=self.metrics.snapshot(), cluster=cluster)
+        return merged
 
     async def _standby_lag(
         self, spec: Any, wal_last_lsn: Optional[int]

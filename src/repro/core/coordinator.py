@@ -1054,39 +1054,25 @@ class Coordinator:
             return len(self._index)
 
     def matching_statistics(self) -> dict[str, Any]:
-        """The match-policy stats block plus the plan-cache counters.
-
-        The numeric plan-cache counters merge additively across cluster nodes.
-        """
+        """The match-policy stats block plus the plan-cache counters, the
+        provider-index size and whether a data change awaits a retry."""
         stats = self.policy_statistics.as_dict()
         stats.update(self._matcher.plan_cache.statistics())
+        with self._lock:
+            stats.update(index_size=len(self._index), dirty=self._data_dirty)
         return stats
 
     def tiering_statistics(self) -> dict[str, Any]:
         """The ``ServiceStats.tiering`` block.
 
         ``{"enabled": False}`` without a memory limit; otherwise hot/cold
-        residency, eviction/page-in counters and page-in latency.  Counter
+        residency, eviction/page-in counters and total page-in time.  Counter
         reads are lock-free — they are monotonic ints mutated under pool
         locks, and a slightly stale stats block is fine.
         """
         if self._tiering is None:
             return {"enabled": False}
         return self._tiering.statistics()
-
-    def shard_stats(self) -> list[dict[str, int]]:
-        """The ``ServiceStats.shards`` entry: the coordinator's pool is one shard."""
-        with self._lock:
-            return [
-                {
-                    "shard": 0,
-                    "pending": len(self._pool),
-                    "index_size": len(self._index),
-                    "queued_events": 0,
-                    "dirty": int(self._data_dirty),
-                    "cross_shard": 0,
-                }
-            ]
 
     # -- lifecycle ---------------------------------------------------------------------------------------
 

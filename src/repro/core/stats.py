@@ -12,7 +12,7 @@ work counters it adds up successful attempts only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.core.matching import MatchStatistics
 
@@ -50,24 +50,10 @@ class CoordinationStatistics:
         Names this version does not count (snapshots written by older code)
         are skipped.
         """
-        for name, value in counters.items():
-            if hasattr(self, name) and not name.startswith("_"):
-                setattr(self, name, value)
+        for counter in fields(self):
+            if counter.name in counters:
+                setattr(self, counter.name, counters[counter.name])
 
     def as_dict(self) -> dict[str, int]:
         """A plain dictionary view (for the admin interface and benchmarks)."""
-        return {
-            "queries_registered": self.queries_registered,
-            "queries_rejected": self.queries_rejected,
-            "queries_answered": self.queries_answered,
-            "queries_cancelled": self.queries_cancelled,
-            "queries_timed_out": self.queries_timed_out,
-            "groups_matched": self.groups_matched,
-            "match_attempts": self.match_attempts,
-            "failed_match_attempts": self.failed_match_attempts,
-            "executions_failed": self.executions_failed,
-            "structural_nodes": self.structural_nodes,
-            "unification_attempts": self.unification_attempts,
-            "grounding_attempts": self.grounding_attempts,
-            "domain_queries": self.domain_queries,
-        }
+        return {counter.name: getattr(self, counter.name) for counter in fields(self)}

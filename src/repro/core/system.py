@@ -277,10 +277,6 @@ class YoutopiaSystem:
     def pending_queries(self) -> list[ir.EntangledQuery]:
         return self.coordinator.pending_queries()
 
-    def shard_stats(self) -> list[dict[str, int]]:
-        """The pool's pending/index sizes, as the one-entry ``ServiceStats.shards``."""
-        return self.coordinator.shard_stats()
-
     def statistics(self) -> dict[str, int]:
         merged = dict(self.coordinator.statistics.as_dict())
         merged["transactions_committed"] = self.transactions.commits

@@ -337,7 +337,4 @@ class TieringManager:
             "evictions": pool.evictions,
             "page_ins": pool.page_ins,
             "page_in_seconds": round(pool.page_in_seconds, 6),
-            "avg_page_in_ms": round(1000.0 * pool.page_in_seconds / pool.page_ins, 3)
-            if pool.page_ins
-            else 0.0,
         }

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Iterator
 
 from repro.errors import TransactionError
-from repro.storage.database import Database
+from repro.storage.database import Database, Snapshot
 
 
 class TransactionManager:
@@ -35,7 +35,7 @@ class TransactionManager:
         self._lock = threading.RLock()
         self._depth = 0
         self._aborted = False
-        self._snapshot: dict[str, dict[int, tuple[Any, ...]]] | None = None
+        self._snapshot: Snapshot | None = None
         self.commits = 0
         self.rollbacks = 0
 

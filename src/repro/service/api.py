@@ -154,39 +154,28 @@ class AnswerEnvelope:
 class ServiceStats:
     """A point-in-time snapshot of coordination statistics.
 
-    ``counters`` carries the monotonic counters of
-    :class:`~repro.core.stats.CoordinationStatistics` (plus transaction
-    counts); ``pending`` is the current pending-pool size.  ``shards``
-    holds one entry describing the coordinator's pool (pending set size,
-    provider-index size, dirty flag; ``queued_events`` and ``cross_shard``
-    are always 0).  ``durability`` reports
-    the write-ahead-log subsystem (``{"enabled": False}`` for a memory-only
-    system; otherwise WAL/fsync/snapshot counters plus a ``recovery`` summary
-    of the last restart — see
+    Every field is a plain JSON-safe block, so the wire codec, the cluster
+    router's merge and the admin renderer handle them all alike (see
+    :mod:`repro.service.metrics`).  ``counters`` carries the monotonic
+    counters of :class:`~repro.core.stats.CoordinationStatistics` (plus
+    transaction counts); ``pending`` is the current pending-pool size.
+    ``durability`` reports the write-ahead log (``{"enabled": False}`` for a
+    memory-only system — see
     :meth:`~repro.core.durability.DurabilityManager.stats`).  ``transport``
-    describes the network request plane when the service is reached through a
-    server (open connections, in-flight requests, bytes in/out,
-    backpressure rejections — see
-    :class:`~repro.service.metrics.TransportMetrics`); an in-process service
-    reports an empty mapping.  ``cluster`` describes multi-node deployments
-    (the node's role and placement, or — from a
-    :class:`~repro.cluster.router.ClusterRouter` — the member list with
-    per-node shard counts, routed vs. cross-node submit counters and standby
-    replication lag in LSNs); a single-node service reports an empty mapping.
-    ``matching`` describes match-group selection: the active policy name,
-    the candidate enumeration limit, and per-policy decision counters
-    (decisions, groups enumerated/skipped, ties broken) — see
-    :class:`~repro.core.policy.PolicyStatistics`.  ``tiering`` describes the
-    tiered pending pool (``{"enabled": False}`` without a
-    ``pending_memory_limit``; otherwise the memory budget, the
-    cold-store backend, hot/cold residency counts, eviction and page-in
-    counters and cumulative page-in latency — see
-    :class:`~repro.core.tiering.TieringManager`).
+    holds a server's request-plane counters
+    (:class:`~repro.service.metrics.TransportMetrics`; empty in-process).
+    ``cluster`` describes a multi-node deployment (the node's role and
+    placement, or a :class:`~repro.cluster.router.ClusterRouter`'s topology,
+    per-node load and standby lag; empty for a single node).  ``matching``
+    holds the match policy, its decision counters
+    (:class:`~repro.core.policy.PolicyStatistics`), the plan-cache counters,
+    the provider-index size and the pool's ``dirty`` flag.  ``tiering``
+    describes the tiered pending pool (``{"enabled": False}`` without a
+    ``pending_memory_limit`` — see :class:`~repro.core.tiering.TieringManager`).
     """
 
     counters: Mapping[str, int]
     pending: int = 0
-    shards: tuple[Mapping[str, int], ...] = ()
     durability: Mapping[str, Any] = field(default_factory=lambda: {"enabled": False})
     transport: Mapping[str, int] = field(default_factory=dict)
     cluster: Mapping[str, Any] = field(default_factory=dict)

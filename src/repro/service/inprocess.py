@@ -173,7 +173,6 @@ class InProcessService:
         return ServiceStats(
             counters=self.system.statistics(),
             pending=self.coordinator.pending_count(),
-            shards=tuple(self.coordinator.shard_stats()),
             durability=self.system.durability_stats(),
             cluster=dict(cluster or {}),
             matching=self.coordinator.matching_statistics(),

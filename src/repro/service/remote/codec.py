@@ -29,6 +29,7 @@ service and an in-process one.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import socket
 import struct
@@ -379,30 +380,22 @@ def encode_request_state(record: Any) -> dict[str, Any]:
 def encode_stats(stats: Any, transport: Mapping[str, int]) -> dict[str, Any]:
     """``ServiceStats + a server's transport snapshot -> JSON`` (one source
     of the wire shape for both servers)."""
-    return {
-        "counters": dict(stats.counters),
-        "pending": stats.pending,
-        "shards": [dict(shard) for shard in stats.shards],
-        "durability": dict(stats.durability),
-        "transport": dict(transport),
-        "cluster": dict(getattr(stats, "cluster", None) or {}),
-        "matching": dict(getattr(stats, "matching", None) or {}),
-        "tiering": dict(getattr(stats, "tiering", None) or {"enabled": False}),
-    }
+    payload = {field.name: getattr(stats, field.name) for field in dataclasses.fields(stats)}
+    payload["transport"] = dict(transport)
+    return payload
 
 
 def decode_stats(payload: Mapping[str, Any]) -> Any:
+    """The inverse of :func:`encode_stats`; an absent or ``None`` block keeps
+    its :class:`~repro.service.api.ServiceStats` default."""
     from repro.service.api import ServiceStats
 
     return ServiceStats(
-        counters=dict(payload.get("counters") or {}),
-        pending=int(payload.get("pending", 0)),
-        shards=tuple(dict(shard) for shard in payload.get("shards") or ()),
-        durability=dict(payload.get("durability") or {"enabled": False}),
-        transport=dict(payload.get("transport") or {}),
-        cluster=dict(payload.get("cluster") or {}),
-        matching=dict(payload.get("matching") or {}),
-        tiering=dict(payload.get("tiering") or {"enabled": False}),
+        **{
+            field.name: payload[field.name]
+            for field in dataclasses.fields(ServiceStats)
+            if payload.get(field.name) is not None
+        }
     )
 
 

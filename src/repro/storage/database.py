@@ -26,6 +26,9 @@ from repro.errors import DuplicateTableError, StorageError, UnknownTableError
 from repro.storage.schema import Column, ColumnType, TableSchema, make_schema
 from repro.storage.table import Table
 
+#: What :meth:`Database.snapshot` captures: each table's write stamp and rows.
+Snapshot = dict[str, tuple[Optional[int], dict[int, tuple[Any, ...]]]]
+
 # A change listener receives (table_name, kind) where kind is one of
 # "insert", "delete", "update", "truncate", "create", "drop".
 ChangeListener = Callable[[str, str], None]
@@ -226,24 +229,29 @@ class Database:
 
     # -- snapshots (transaction support) -------------------------------------------------
 
-    def snapshot(self) -> dict[str, dict[int, tuple[Any, ...]]]:
-        """Capture the contents of every table keyed by lowercase table name."""
+    def snapshot(self) -> Snapshot:
+        """Capture every table's rows and write stamp, keyed by lowercase name."""
         with self._lock:
-            return {key: table.snapshot() for key, table in self._tables.items()}
+            return {key: (table.stamp, table.snapshot()) for key, table in self._tables.items()}
 
-    def restore(self, snapshot: dict[str, dict[int, tuple[Any, ...]]]) -> None:
+    def restore(self, snapshot: Snapshot) -> None:
         """Restore table contents from a prior :meth:`snapshot`.
 
-        Tables created after the snapshot keep their schema but are truncated;
-        tables dropped after the snapshot are *not* resurrected (DDL is outside
-        the transactional scope of this reproduction).
+        A table whose stamp has not moved since the snapshot still holds its
+        rows and is left alone, so its stamp (and every domain result cached
+        under it) stays valid.  Tables created after the snapshot keep their
+        schema but are truncated; tables dropped after the snapshot are *not*
+        resurrected (DDL is outside the transactional scope of this
+        reproduction).
         """
         with self._lock:
             for key, table in self._tables.items():
-                if key in snapshot:
-                    table.restore(snapshot[key])
-                else:
+                if key not in snapshot:
                     table.truncate()
+                    continue
+                stamp, rows = snapshot[key]
+                if table.stamp != stamp:
+                    table.restore(rows)
 
     # -- statistics ------------------------------------------------------------------------
 

@@ -237,6 +237,51 @@ def test_a_domain_over_the_pending_view_is_executed_on_every_attempt(monkeypatch
         system.close()
 
 
+def test_a_rollback_keeps_the_cached_domains_of_tables_it_did_not_write(monkeypatch):
+    """A failed side-effect hook wrote Flights only: the rollback restores
+    Flights but leaves Hotels, its stamp and its cached domain alone."""
+    system = build_system()
+    system.execute("CREATE TABLE Hotels (hid INT PRIMARY KEY, city TEXT)")
+    system.execute("INSERT INTO Hotels VALUES (7, 'Oslo')")
+    system.declare_answer_relation("Stay", ["traveler", "hid"], ["TEXT", "INTEGER"])
+    system.declare_answer_relation("Trip", ["traveler", "fno"], ["TEXT", "INTEGER"])
+
+    def stay(user: str, partner: str) -> str:
+        return (
+            f"SELECT '{user}', hid INTO ANSWER Stay "
+            "WHERE hid IN (SELECT hid FROM Hotels WHERE city = 'Oslo') "
+            f"AND ('{partner}', hid) IN ANSWER Stay CHOOSE 1"
+        )
+
+    def trip(user: str, partner: str) -> str:
+        return booking(user, partner).replace("Reservation", "Trip")
+
+    def failing_hook(relation: str, values: tuple, engine: Any) -> None:
+        engine.execute("UPDATE Flights SET dest = 'Oslo' WHERE fno = 2")
+        raise RuntimeError("side effect failed")
+
+    runs = record_selects(system, monkeypatch)
+    try:
+        system.submit_entangled(stay("a", "b"))
+        assert system.submit_entangled(stay("b", "a")).status is QueryStatus.ANSWERED
+        hotel_runs = [run for run in runs if "Hotels" in run]
+        assert len(hotel_runs) == 1
+        hotels_stamp = system.database.stamps(["hotels"])
+
+        system.register_side_effect(failing_hook, "Trip")
+        system.submit_entangled(trip("g", "h"))
+        assert system.submit_entangled(trip("h", "g")).status is QueryStatus.PENDING
+        assert system.statistics()["transactions_rolled_back"] >= 1
+        assert system.query("SELECT fno FROM Flights WHERE dest = 'Oslo'").rows == [(1,)]
+        assert system.database.stamps(["hotels"]) == hotels_stamp
+
+        assert system.submit_entangled(stay("c", "d")).status is QueryStatus.PENDING
+        assert system.submit_entangled(stay("d", "c")).status is QueryStatus.ANSWERED
+        assert [run for run in runs if "Hotels" in run] == hotel_runs
+    finally:
+        system.close()
+
+
 # ---------------------------------------------------------------------------
 # Differential: DML interleaved with submits, against the fresh-domain oracle
 # ---------------------------------------------------------------------------

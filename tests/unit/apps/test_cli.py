@@ -103,7 +103,7 @@ class TestDotCommands:
     def test_stats(self, shell):
         shell.run_line(KRAMER_SQL)
         stats = shell.run_line(".stats")
-        assert "queries_registered = 1" in stats
+        assert "counters.queries_registered = 1" in stats.splitlines()
 
     def test_help_quit_unknown(self, shell):
         assert "Dot-commands" in shell.run_line(".help")
@@ -186,7 +186,7 @@ class TestRemoteShell:
         remote_shell.run_line(KRAMER_SQL)
         pending = remote_shell.run_line(".pending")
         assert "Reservation" in pending
-        assert "queries_registered = 1" in remote_shell.run_line(".stats")
+        assert "counters.queries_registered = 1" in remote_shell.run_line(".stats").splitlines()
         assert "0 newly answered" in remote_shell.run_line(".retry")
         query_id = pending.split()[0]
         assert f"cancelled {query_id}" in remote_shell.run_line(f".cancel {query_id}")

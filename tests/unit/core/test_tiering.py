@@ -214,7 +214,7 @@ class TestTieringManager:
         assert stats["peak_hot"] >= stats["hot"]
         assert stats["evictions"] >= stats["cold"]
         assert stats["page_ins"] == 1
-        assert stats["avg_page_in_ms"] >= 0.0
+        assert stats["page_in_seconds"] >= 0.0
 
     def test_close_is_idempotent(self):
         manager = TieringManager(MemoryPendingStore(), memory_limit=4)

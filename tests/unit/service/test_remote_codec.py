@@ -217,3 +217,48 @@ class TestValueCodecs:
         decoded = codec.decode_answer("q1", codec.encode_answer(original))
         assert decoded == original
         assert decoded.tuples["Reservation"][0] == ("Kramer", 122)
+
+
+class TestStatsCodec:
+    def test_every_stats_field_and_key_survives_the_wire(self, tmp_path):
+        """A durable, tiered, ``priority`` server fills every block; whatever
+        ``ServiceStats`` grows later must cross ``encode_stats`` →
+        ``decode_stats`` whole, not be dropped by a hand-listed codec."""
+        import dataclasses
+
+        from repro.apps.cli import build_server
+        from repro.service.api import ServiceStats
+
+        server = build_server(
+            port=0,
+            seed=0,
+            data_dir=str(tmp_path),
+            fsync_policy="always",
+            match_policy="priority",
+            pending_memory_limit=1,
+            cold_store="sqlite",
+            cluster_node="0/2",
+        )
+        try:
+            service = server.service
+            service.execute_script("CREATE TABLE Flights (fno INT PRIMARY KEY, dest TEXT)")
+            for owner in ("a", "b"):
+                service.submit(
+                    f"SELECT '{owner}', fno INTO ANSWER Reservation WHERE fno IN "
+                    f"(SELECT fno FROM Flights) AND ('ghost', fno) IN ANSWER Reservation "
+                    "CHOOSE 1",
+                    owner=owner,
+                )
+            stats = service.stats()
+            transport = server.metrics.snapshot()
+        finally:
+            server.stop()
+        payload = roundtrip(codec.response_frame(1, codec.encode_stats(stats, transport)))
+        decoded = codec.decode_stats(payload["result"])
+        assert stats.tiering["cold"] == 1 and stats.durability["enabled"]
+        for field in dataclasses.fields(ServiceStats):
+            sent = transport if field.name == "transport" else getattr(stats, field.name)
+            assert getattr(decoded, field.name) == sent, field.name
+            if isinstance(sent, dict):
+                assert sent, f"{field.name} is empty on a fully configured server"
+                assert set(getattr(decoded, field.name)) == set(sent)

@@ -192,7 +192,7 @@ class TestWriteStamps:
             lambda db: db.delete_by_key("Flights", {"fno": 122}),
             lambda db: db.delete_where("Flights", lambda r: r["dest"] == "Rome"),
             lambda db: db.truncate("Flights"),
-            lambda db: db.restore(db.snapshot()),
+            lambda db: db.table("Flights").restore(db.table("Flights").snapshot()),
             lambda db: db.table("Flights").create_index("by_dest", ["dest"]),
         ],
         ids=["insert", "update-key", "update-where", "delete-key", "delete-where",
@@ -208,6 +208,7 @@ class TestWriteStamps:
         assert catalog.update_by_key("Flights", {"fno": 999}, {"dest": "Oslo"}) == 0
         assert catalog.delete_where("Flights", lambda row: False) == 0
         assert catalog.insert_many("Flights", []) == []
+        catalog.restore(catalog.snapshot())  # a rollback of nothing rewrites nothing
         with pytest.raises(StorageError):  # a duplicate key changes nothing
             catalog.insert_many("Flights", [(200, "Oslo"), (122, "Paris")])
         assert self.stamp(catalog) == before
